@@ -3,6 +3,7 @@
 #include <cmath>
 #include <cstdint>
 #include <limits>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -30,8 +31,7 @@ str(int64_t value)
 // ---------------------------------------------------------------------
 
 int32_t
-slotOf(const std::vector<model::NodeIndex> &nodes,
-       model::NodeIndex node)
+slotOf(std::span<const model::NodeIndex> nodes, model::NodeIndex node)
 {
     for (size_t i = 0; i < nodes.size(); ++i) {
         if (nodes[i] == node)
@@ -75,7 +75,7 @@ verifyInternalTile(const TiledTree &tiled, TileId id, int64_t tree_id,
                    DiagnosticEngine &diag)
 {
     const model::DecisionTree &tree = tiled.baseTree();
-    const Tile &t = tiled.tile(id);
+    Tile t = tiled.tile(id);
     std::vector<model::NodeIndex> parents = tree.parentArray();
 
     if (t.numNodes() < 1 || t.numNodes() > tiled.tileSize()) {
@@ -88,7 +88,7 @@ verifyInternalTile(const TiledTree &tiled, TileId id, int64_t tree_id,
         return;
     }
     bool leaves_inside = false;
-    for (model::NodeIndex node : t.nodes) {
+    for (model::NodeIndex node : t.nodes()) {
         if (tree.node(node).isLeaf()) {
             diag.error(IrLevel::kHir, "hir.tiling.leaf-separation",
                        "internal tile contains leaf node " + str(node))
@@ -103,14 +103,14 @@ verifyInternalTile(const TiledTree &tiled, TileId id, int64_t tree_id,
     // Connectedness: every non-slot-0 node's base parent is in the
     // tile, and slot 0's parent is outside (slot 0 is the tile root).
     bool connected = true;
-    for (size_t i = 1; i < t.nodes.size(); ++i) {
+    for (size_t i = 1; i < t.nodes().size(); ++i) {
         model::NodeIndex parent =
-            parents[static_cast<size_t>(t.nodes[i])];
+            parents[static_cast<size_t>(t.nodes()[i])];
         if (parent == model::kInvalidNode ||
-            slotOf(t.nodes, parent) < 0) {
+            slotOf(t.nodes(), parent) < 0) {
             diag.error(IrLevel::kHir, "hir.tiling.connectedness",
                        "tile is not connected: node " +
-                           str(t.nodes[i]) +
+                           str(t.nodes()[i]) +
                            "'s parent is outside the tile")
                 .atTree(tree_id)
                 .atTile(id)
@@ -119,9 +119,9 @@ verifyInternalTile(const TiledTree &tiled, TileId id, int64_t tree_id,
         }
     }
     model::NodeIndex root_parent =
-        parents[static_cast<size_t>(t.nodes[0])];
+        parents[static_cast<size_t>(t.nodes()[0])];
     if (root_parent != model::kInvalidNode &&
-        slotOf(t.nodes, root_parent) >= 0) {
+        slotOf(t.nodes(), root_parent) >= 0) {
         diag.error(IrLevel::kHir, "hir.tiling.connectedness",
                    "slot 0 is not the tile root")
             .atTree(tree_id)
@@ -145,7 +145,7 @@ verifyInternalTile(const TiledTree &tiled, TileId id, int64_t tree_id,
         if (right[static_cast<size_t>(slot)] >= 0)
             bfs.push_back(right[static_cast<size_t>(slot)]);
     }
-    if (bfs.size() != t.nodes.size()) {
+    if (bfs.size() != t.nodes().size()) {
         diag.error(IrLevel::kHir, "hir.tiling.connectedness",
                    "in-tile links are not connected")
             .atTree(tree_id)
@@ -164,12 +164,12 @@ verifyInternalTile(const TiledTree &tiled, TileId id, int64_t tree_id,
     }
 
     int32_t exits = 0;
-    for (size_t i = 0; i < t.nodes.size(); ++i) {
+    for (size_t i = 0; i < t.nodes().size(); ++i) {
         exits += (left[i] < 0 ? 1 : 0) + (right[i] < 0 ? 1 : 0);
     }
-    if (static_cast<int32_t>(t.children.size()) != exits) {
+    if (static_cast<int32_t>(t.children().size()) != exits) {
         diag.error(IrLevel::kHir, "hir.tiling.arity",
-                   "tile has " + str(t.children.size()) +
+                   "tile has " + str(t.children().size()) +
                        " children but " + str(exits) + " exit edges")
             .atTree(tree_id)
             .atTile(id);
@@ -178,8 +178,8 @@ verifyInternalTile(const TiledTree &tiled, TileId id, int64_t tree_id,
 
     // Exit ordering and child parent links: exit k's base-tree target
     // must be the root node of children[k].
-    for (size_t i = 0; i < t.nodes.size(); ++i) {
-        const model::Node &node = tree.node(t.nodes[i]);
+    for (size_t i = 0; i < t.nodes().size(); ++i) {
+        const model::Node &node = tree.node(t.nodes()[i]);
         for (int32_t side = 0; side < 2; ++side) {
             int32_t link = side == 0 ? left[i] : right[i];
             if (link >= 0)
@@ -190,7 +190,7 @@ verifyInternalTile(const TiledTree &tiled, TileId id, int64_t tree_id,
             int32_t exit = exitOrdinalOf(left, right, 0,
                                          static_cast<int32_t>(i),
                                          side, ordinal);
-            TileId child = t.children[static_cast<size_t>(exit)];
+            TileId child = t.children()[static_cast<size_t>(exit)];
             if (child < 0 || child >= tiled.numTiles()) {
                 diag.error(IrLevel::kHir, "hir.tiling.parent-link",
                            "exit " + str(exit) +
@@ -200,7 +200,7 @@ verifyInternalTile(const TiledTree &tiled, TileId id, int64_t tree_id,
                     .atTile(id);
                 continue;
             }
-            const Tile &child_tile = tiled.tile(child);
+            Tile child_tile = tiled.tile(child);
             if (child_tile.parent != id) {
                 diag.error(IrLevel::kHir, "hir.tiling.parent-link",
                            "tile " + str(child) +
@@ -209,8 +209,8 @@ verifyInternalTile(const TiledTree &tiled, TileId id, int64_t tree_id,
                     .atTile(child);
             }
             if (!child_tile.isDummy() &&
-                (child_tile.nodes.empty() ||
-                 child_tile.nodes.front() != target)) {
+                (child_tile.nodes().empty() ||
+                 child_tile.nodes().front() != target)) {
                 diag.error(IrLevel::kHir, "hir.tiling.exit-order",
                            "exit " + str(exit) +
                                " does not lead to base node " +
@@ -224,7 +224,7 @@ verifyInternalTile(const TiledTree &tiled, TileId id, int64_t tree_id,
     // Maximal tiling: an under-full tile may only border leaves (or
     // padding above leaves).
     if (t.numNodes() < tiled.tileSize()) {
-        for (TileId child : t.children) {
+        for (TileId child : t.children()) {
             if (child < 0 || child >= tiled.numTiles())
                 continue;
             if (tiled.tile(child).kind == Tile::Kind::kInternal) {
@@ -241,9 +241,10 @@ verifyInternalTile(const TiledTree &tiled, TileId id, int64_t tree_id,
 
 /**
  * Verify one tiled tree. Returns true when every tile's parent link
- * is in range and acyclic — only then may callers use the tree's
- * depth queries (tileDepth walks parent chains and would not
- * terminate on a cycle).
+ * is in range and acyclic — only then may callers trust the tree's
+ * depths (tileDepth walks parent chains and would not terminate on a
+ * cycle; leaf depths follow child links, which a broken parent link
+ * says are suspect too).
  */
 bool
 verifyTiledTree(const TiledTree &tiled, int64_t tree_id,
@@ -290,8 +291,8 @@ verifyTiledTree(const TiledTree &tiled, int64_t tree_id,
     std::vector<char> tile_ok(static_cast<size_t>(tiled.numTiles()),
                               1);
     for (TileId id = 0; id < tiled.numTiles(); ++id) {
-        const Tile &t = tiled.tile(id);
-        for (model::NodeIndex node : t.nodes) {
+        Tile t = tiled.tile(id);
+        for (model::NodeIndex node : t.nodes()) {
             if (node < 0 || node >= tree.numNodes()) {
                 diag.error(IrLevel::kHir, "hir.tiling.node-range",
                            "tile references node " + str(node) +
@@ -312,7 +313,7 @@ verifyTiledTree(const TiledTree &tiled, int64_t tree_id,
                 ++covered;
             }
         }
-        if (t.isDummy() && !t.nodes.empty()) {
+        if (t.isDummy() && !t.nodes().empty()) {
             diag.error(IrLevel::kHir, "hir.tiling.partition",
                        "dummy tile holds base nodes")
                 .atTree(tree_id)
@@ -330,11 +331,11 @@ verifyTiledTree(const TiledTree &tiled, int64_t tree_id,
     for (TileId id = 0; id < tiled.numTiles(); ++id) {
         if (!tile_ok[static_cast<size_t>(id)])
             continue;
-        const Tile &t = tiled.tile(id);
+        Tile t = tiled.tile(id);
         switch (t.kind) {
           case Tile::Kind::kLeaf:
             if (t.numNodes() != 1 ||
-                !tree.node(t.nodes.front()).isLeaf()) {
+                !tree.node(t.nodes().front()).isLeaf()) {
                 diag.error(IrLevel::kHir,
                            "hir.tiling.leaf-separation",
                            "leaf tile must hold exactly one base leaf")
@@ -342,13 +343,13 @@ verifyTiledTree(const TiledTree &tiled, int64_t tree_id,
                     .atTile(id);
                 break;
             }
-            if (!t.children.empty()) {
+            if (!t.children().empty()) {
                 diag.error(IrLevel::kHir, "hir.tiling.arity",
                            "leaf tile has children")
                     .atTree(tree_id)
                     .atTile(id);
             }
-            if (t.leafValue != tree.node(t.nodes.front()).threshold) {
+            if (t.leafValue != tree.node(t.nodes().front()).threshold) {
                 diag.error(IrLevel::kHir, "hir.tiling.stale-leaf",
                            "leaf tile caches a stale value")
                     .atTree(tree_id)
@@ -356,7 +357,7 @@ verifyTiledTree(const TiledTree &tiled, int64_t tree_id,
             }
             break;
           case Tile::Kind::kDummyLeaf:
-            if (!t.children.empty()) {
+            if (!t.children().empty()) {
                 diag.error(IrLevel::kHir, "hir.tiling.arity",
                            "dummy leaf has children")
                     .atTree(tree_id)
@@ -364,7 +365,7 @@ verifyTiledTree(const TiledTree &tiled, int64_t tree_id,
             }
             break;
           case Tile::Kind::kDummyInternal:
-            if (static_cast<int32_t>(t.children.size()) !=
+            if (static_cast<int32_t>(t.children().size()) !=
                 tiled.tileSize() + 1) {
                 diag.error(IrLevel::kHir, "hir.tiling.arity",
                            "dummy tile has wrong arity")
@@ -1165,8 +1166,8 @@ verifyHir(const hir::HirModule &module, DiagnosticEngine &diag)
         for (int64_t position = group.beginPos;
              position < group.endPos; ++position) {
             int64_t tree = order[static_cast<size_t>(position)];
-            // Depth queries walk parent chains; skip members whose
-            // parent links did not verify.
+            // Skip members whose parent links did not verify: their
+            // depths are not trustworthy (see verifyTiledTree).
             if (!depth_safe[static_cast<size_t>(tree)])
                 continue;
             const TiledTree &tiled = module.tiledTree(tree);

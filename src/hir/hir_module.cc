@@ -69,40 +69,41 @@ HirModule::runReorderPass()
 
     int64_t num_trees = forest_.numTrees();
     std::vector<bool> unrollable(static_cast<size_t>(num_trees), false);
+    // Each tree's walk key, from one depth pass per tree: the unrolled
+    // walk depth (max leaf depth, which padding preserves) for
+    // unrollable trees, the peel depth (min leaf depth) otherwise.
+    std::vector<int32_t> walk_key(static_cast<size_t>(num_trees));
 
-    if (schedule_.padAndUnrollWalks) {
+    for (int64_t t = 0; t < num_trees; ++t) {
+        TiledTree &tiled = tiledTrees_[static_cast<size_t>(t)];
+        auto [min_depth, max_depth] = tiled.leafDepthRange();
+        walk_key[static_cast<size_t>(t)] = min_depth;
+        if (!schedule_.padAndUnrollWalks)
+            continue;
         // Pad almost-balanced trees (basic tiling produces these) so
         // their walks can be fully unrolled.
-        for (int64_t t = 0; t < num_trees; ++t) {
-            TiledTree &tiled = tiledTrees_[static_cast<size_t>(t)];
-            int32_t imbalance =
-                tiled.maxLeafDepth() - tiled.minLeafDepth();
-            // Single-leaf trees have no walk to unroll.
-            if (imbalance <= schedule_.padDepthSlack &&
-                tiled.maxLeafDepth() >= 1) {
-                if (imbalance > 0)
-                    tiled.padToDepth(tiled.maxLeafDepth());
-                unrollable[static_cast<size_t>(t)] = true;
-            }
+        int32_t imbalance = max_depth - min_depth;
+        // Single-leaf trees have no walk to unroll.
+        if (imbalance <= schedule_.padDepthSlack && max_depth >= 1) {
+            if (imbalance > 0)
+                tiled.padToDepth(max_depth);
+            unrollable[static_cast<size_t>(t)] = true;
+            walk_key[static_cast<size_t>(t)] = max_depth;
         }
+    }
 
+    if (schedule_.padAndUnrollWalks) {
         // Sort execution order: unrolled trees first, by walk depth,
         // so trees sharing one unrolled body are adjacent; generic
         // trees afterwards by peel (min leaf) depth.
         std::sort(treeOrder_.begin(), treeOrder_.end(),
-                  [this, &unrollable](int64_t a, int64_t b) {
-                      const TiledTree &ta =
-                          tiledTrees_[static_cast<size_t>(a)];
-                      const TiledTree &tb =
-                          tiledTrees_[static_cast<size_t>(b)];
+                  [&unrollable, &walk_key](int64_t a, int64_t b) {
                       bool ua = unrollable[static_cast<size_t>(a)];
                       bool ub = unrollable[static_cast<size_t>(b)];
                       if (ua != ub)
                           return ua > ub;
-                      int32_t ka = ua ? ta.maxLeafDepth()
-                                      : ta.minLeafDepth();
-                      int32_t kb = ub ? tb.maxLeafDepth()
-                                      : tb.minLeafDepth();
+                      int32_t ka = walk_key[static_cast<size_t>(a)];
+                      int32_t kb = walk_key[static_cast<size_t>(b)];
                       if (ka != kb)
                           return ka < kb;
                       return a < b;
@@ -110,14 +111,10 @@ HirModule::runReorderPass()
     }
 
     // Form groups of consecutive positions with identical walk keys.
-    auto key_of = [this, &unrollable](int64_t tree_id) {
-        const TiledTree &tiled =
-            tiledTrees_[static_cast<size_t>(tree_id)];
-        bool unrolled = schedule_.padAndUnrollWalks &&
-                        unrollable[static_cast<size_t>(tree_id)];
-        int32_t depth = unrolled ? tiled.maxLeafDepth()
-                                 : tiled.minLeafDepth();
-        return std::make_pair(unrolled, depth);
+    auto key_of = [&unrollable, &walk_key](int64_t tree_id) {
+        return std::make_pair(
+            static_cast<bool>(unrollable[static_cast<size_t>(tree_id)]),
+            walk_key[static_cast<size_t>(tree_id)]);
     };
 
     int64_t position = 0;
@@ -155,6 +152,20 @@ HirModule::validateTiling() const
         tiled.validate();
 }
 
+int64_t
+HirModule::footprintBytes() const
+{
+    int64_t bytes = 0;
+    for (const TiledTree &tiled : tiledTrees_)
+        bytes += static_cast<int64_t>(sizeof(TiledTree)) +
+                 tiled.footprintBytes();
+    bytes += static_cast<int64_t>(appliedTiling_.size() *
+                                      sizeof(TilingAlgorithm) +
+                                  treeOrder_.size() * sizeof(int64_t) +
+                                  groups_.size() * sizeof(TreeGroup));
+    return bytes;
+}
+
 std::string
 HirModule::dump() const
 {
@@ -164,16 +175,17 @@ HirModule::dump() const
     os << "  forest: " << forest_.numTrees() << " trees, "
        << forest_.numFeatures() << " features, objective "
        << model::objectiveName(forest_.objective()) << "\n";
+    os << "  footprint: " << footprintBytes() << " bytes\n";
     if (isTiled()) {
         for (int64_t t = 0; t < forest_.numTrees(); ++t) {
             const TiledTree &tiled =
                 tiledTrees_[static_cast<size_t>(t)];
+            auto [min_depth, max_depth] = tiled.leafDepthRange();
             os << "  tree " << t << ": "
                << tilingAlgorithmName(
                       appliedTiling_[static_cast<size_t>(t)])
                << " tiling, " << tiled.numTiles() << " tiles, depth ["
-               << tiled.minLeafDepth() << ", " << tiled.maxLeafDepth()
-               << "]\n";
+               << min_depth << ", " << max_depth << "]\n";
         }
     }
     if (!groups_.empty()) {

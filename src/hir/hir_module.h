@@ -70,6 +70,14 @@ class HirModule
     /** Code-sharing groups over positions; covers all positions. */
     const std::vector<TreeGroup> &groups() const { return groups_; }
 
+    /**
+     * Bytes the module's HIR state holds: every tiled tree's records
+     * and flat arrays plus the order, applied-tiling and group tables.
+     * The forest copy is the model, not HIR state, and is excluded.
+     * Deterministic, so tests can bound it where RSS would be noise.
+     */
+    int64_t footprintBytes() const;
+
     /** Human-readable dump of the module (for tests and debugging). */
     std::string dump() const;
 

@@ -57,10 +57,10 @@ tileReachProbabilities(const TiledTree &tiled)
     std::vector<double> result(
         static_cast<size_t>(tiled.numTiles()), 0.0);
     for (TileId id = 0; id < tiled.numTiles(); ++id) {
-        const Tile &tile = tiled.tile(id);
-        if (!tile.nodes.empty()) {
+        Tile tile = tiled.tile(id);
+        if (!tile.nodes().empty()) {
             result[static_cast<size_t>(id)] =
-                node_probability[static_cast<size_t>(tile.nodes[0])];
+                node_probability[static_cast<size_t>(tile.nodes()[0])];
         }
     }
     // Dummy internal tiles deterministically continue to child 0:
@@ -71,7 +71,7 @@ tileReachProbabilities(const TiledTree &tiled)
             continue;
         TileId current = id;
         while (tiled.tile(current).kind == Tile::Kind::kDummyInternal)
-            current = tiled.tile(current).children[0];
+            current = tiled.tile(current).children()[0];
         result[static_cast<size_t>(id)] =
             result[static_cast<size_t>(current)];
     }
@@ -130,7 +130,7 @@ buildHotPathProgram(const TiledTree &tiled, double coverage,
             break;
         nodes_used += cost;
         selected[static_cast<size_t>(id)] = 1;
-        for (TileId child : tiled.tile(id).children)
+        for (TileId child : tiled.tile(id).children())
             admit(child);
     }
     program.hotCoverage = covered;
@@ -160,9 +160,9 @@ buildHotPathProgram(const TiledTree &tiled, double coverage,
         [&](TileId id) -> int32_t {
         while (tiled.tile(id).kind == Tile::Kind::kDummyInternal &&
                selected[static_cast<size_t>(id)]) {
-            id = tiled.tile(id).children[0];
+            id = tiled.tile(id).children()[0];
         }
-        const Tile &tile = tiled.tile(id);
+        Tile tile = tiled.tile(id);
         if (selected[static_cast<size_t>(id)]) {
             if (tile.isLeafKind()) {
                 return addOutcome(
@@ -177,22 +177,22 @@ buildHotPathProgram(const TiledTree &tiled, double coverage,
             {false, 0.0f, id, probability[static_cast<size_t>(id)]});
     };
     emitNode = [&](TileId id, int32_t slot) -> int32_t {
-        const Tile &tile = tiled.tile(id);
+        Tile tile = tiled.tile(id);
         const TileLinks &l = linksFor(id);
         int32_t index = static_cast<int32_t>(program.nodes.size());
         program.nodes.push_back(
-            {tile.nodes[static_cast<size_t>(slot)], 0, 0});
+            {tile.nodes()[static_cast<size_t>(slot)], 0, 0});
         int32_t left_link = l.left[static_cast<size_t>(slot)];
         int32_t left_ref =
             left_link >= 0
                 ? emitNode(id, left_link)
-                : resolveTile(tile.children[static_cast<size_t>(
+                : resolveTile(tile.children()[static_cast<size_t>(
                       l.exitLeft[static_cast<size_t>(slot)])]);
         int32_t right_link = l.right[static_cast<size_t>(slot)];
         int32_t right_ref =
             right_link >= 0
                 ? emitNode(id, right_link)
-                : resolveTile(tile.children[static_cast<size_t>(
+                : resolveTile(tile.children()[static_cast<size_t>(
                       l.exitRight[static_cast<size_t>(slot)])]);
         program.nodes[static_cast<size_t>(index)].left = left_ref;
         program.nodes[static_cast<size_t>(index)].right = right_ref;

@@ -92,19 +92,13 @@ exitTargetsInOrder(const DecisionTree &tree, NodeIndex tile_root,
  */
 TileId
 buildTiles(const DecisionTree &tree, const TileSelector &selector,
-           NodeIndex subtree_root, TileId parent, std::vector<Tile> &tiles)
+           NodeIndex subtree_root, TileId parent, TiledTree &tiled)
 {
-    TileId id = static_cast<TileId>(tiles.size());
-    tiles.emplace_back();
-    tiles[static_cast<size_t>(id)].parent = parent;
-
     const model::Node &root_node = tree.node(subtree_root);
     if (root_node.isLeaf()) {
-        Tile &t = tiles[static_cast<size_t>(id)];
-        t.kind = Tile::Kind::kLeaf;
-        t.nodes = {subtree_root};
-        t.leafValue = root_node.threshold;
-        return id;
+        return tiled.appendTile(Tile::Kind::kLeaf, parent,
+                                root_node.threshold, {&subtree_root, 1},
+                                0);
     }
 
     std::set<NodeIndex> members = selector(subtree_root);
@@ -116,18 +110,13 @@ buildTiles(const DecisionTree &tree, const TileSelector &selector,
     std::vector<NodeIndex> exits =
         exitTargetsInOrder(tree, subtree_root, members);
 
-    {
-        Tile &t = tiles[static_cast<size_t>(id)];
-        t.kind = Tile::Kind::kInternal;
-        t.nodes = std::move(ordered);
+    TileId id = tiled.appendTile(Tile::Kind::kInternal, parent, 0.0f,
+                                 ordered,
+                                 static_cast<int32_t>(exits.size()));
+    for (size_t k = 0; k < exits.size(); ++k) {
+        tiled.setChild(id, static_cast<int32_t>(k),
+                       buildTiles(tree, selector, exits[k], id, tiled));
     }
-
-    std::vector<TileId> children;
-    children.reserve(exits.size());
-    for (NodeIndex exit_target : exits)
-        children.push_back(buildTiles(tree, selector, exit_target, id,
-                                      tiles));
-    tiles[static_cast<size_t>(id)].children = std::move(children);
     return id;
 }
 
@@ -135,10 +124,10 @@ TiledTree
 tileWithSelector(const DecisionTree &tree, int32_t tile_size,
                  const TileSelector &selector)
 {
-    fatalIf(tile_size < 1, "tile size must be at least 1");
-    std::vector<Tile> tiles;
-    buildTiles(tree, selector, tree.root(), kNoTile, tiles);
-    return TiledTree(tree, tile_size, std::move(tiles));
+    TiledTree tiled(tree, tile_size);
+    buildTiles(tree, selector, tree.root(), kNoTile, tiled);
+    tiled.shrinkToFit();
+    return tiled;
 }
 
 } // namespace

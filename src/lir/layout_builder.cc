@@ -47,7 +47,7 @@ writeInternalTileSlots(ForestBuffers &fb, int64_t global,
         return;
     }
 
-    const Tile &tile = tiled.tile(id);
+    Tile tile = tiled.tile(id);
     std::vector<int32_t> left, right;
     tiled.tileSlotLinks(id, left, right);
     fb.shapeIds[static_cast<size_t>(global)] =
@@ -58,7 +58,7 @@ writeInternalTileSlots(ForestBuffers &fb, int64_t global,
     for (int32_t s = 0; s < nt; ++s) {
         if (s < tile.numNodes()) {
             const model::Node &node =
-                tree.node(tile.nodes[static_cast<size_t>(s)]);
+                tree.node(tile.nodes()[static_cast<size_t>(s)]);
             thresholds[s] = node.threshold;
             features[s] = node.featureIndex;
             if (node.defaultLeft)
@@ -194,7 +194,7 @@ buildArrayLayout(const hir::HirModule &module)
                 tile_global[static_cast<size_t>(id)] = global;
             panicIf(global >= fb.treeTileEnd[static_cast<size_t>(pos)],
                     "array layout index escaped its tree block");
-            const Tile &tile = tiled.tile(id);
+            Tile tile = tiled.tile(id);
             if (tile.isLeafKind()) {
                 fb.shapeIds[static_cast<size_t>(global)] =
                     kLeafTileMarker;
@@ -204,10 +204,10 @@ buildArrayLayout(const hir::HirModule &module)
             }
             writeInternalTileSlots(fb, global, tiled, id,
                                    /*is_hop=*/false);
-            for (size_t c = 0; c < tile.children.size(); ++c) {
+            for (size_t c = 0; c < tile.children().size(); ++c) {
                 int64_t child_local =
                     arity * local + static_cast<int64_t>(c) + 1;
-                queue.push({tile.children[c], child_local});
+                queue.push({tile.children()[c], child_local});
             }
         }
         if (record_tiles)
@@ -244,7 +244,7 @@ buildSparseLayout(const hir::HirModule &module)
                                -1);
 
         std::vector<Item> items;
-        const Tile &root = tiled.tile(tiled.rootTile());
+        Tile root = tiled.tile(tiled.rootTile());
         if (root.isLeafKind()) {
             // Single-leaf tree: represent it as one hop tile whose
             // children are all that leaf's value.
@@ -279,7 +279,7 @@ buildSparseLayout(const hir::HirModule &module)
                 continue;
             }
 
-            const Tile &tile = tiled.tile(item.id);
+            Tile tile = tiled.tile(item.id);
             panicIf(tile.isLeafKind(),
                     "leaf tile reached the sparse item queue");
             writeInternalTileSlots(fb, global, tiled, item.id,
@@ -289,8 +289,8 @@ buildSparseLayout(const hir::HirModule &module)
                 // Padding tiles also route every walk to child 0;
                 // only the continuation child is materialized (the
                 // dummy-leaf fillers are unreachable).
-                TileId continuation = tile.children.front();
-                const Tile &next = tiled.tile(continuation);
+                TileId continuation = tile.children().front();
+                Tile next = tiled.tile(continuation);
                 if (next.isLeafKind()) {
                     int64_t leaf_base =
                         static_cast<int64_t>(fb.leaves.size());
@@ -308,7 +308,7 @@ buildSparseLayout(const hir::HirModule &module)
             }
 
             bool all_leaves = true;
-            for (TileId child : tile.children) {
+            for (TileId child : tile.children()) {
                 if (!tiled.tile(child).isLeafKind()) {
                     all_leaves = false;
                     break;
@@ -318,7 +318,7 @@ buildSparseLayout(const hir::HirModule &module)
             if (all_leaves) {
                 int64_t leaf_base =
                     static_cast<int64_t>(fb.leaves.size());
-                for (TileId child : tile.children)
+                for (TileId child : tile.children())
                     fb.leaves.push_back(tiled.tile(child).leafValue);
                 fb.childBase[static_cast<size_t>(global)] =
                     static_cast<int32_t>(-(leaf_base + 1));
@@ -334,8 +334,8 @@ buildSparseLayout(const hir::HirModule &module)
                     "sparse layout exceeds 32-bit tile indexing");
             fb.childBase[static_cast<size_t>(global)] =
                 static_cast<int32_t>(first_child);
-            for (TileId child : tile.children) {
-                const Tile &child_tile = tiled.tile(child);
+            for (TileId child : tile.children()) {
+                Tile child_tile = tiled.tile(child);
                 if (child_tile.isLeafKind())
                     items.push_back({hir::kNoTile, child_tile.leafValue});
                 else

@@ -302,10 +302,10 @@ TEST(HirVerifier, DetectsPartitionHole)
     // Drop one node from some internal tile: the tiling no longer
     // covers the base tree.
     for (hir::TileId id = 0; id < tiled.numTiles(); ++id) {
-        hir::Tile &tile = tiled.mutableTile(id);
+        hir::Tile tile = tiled.tile(id);
         if (tile.kind == hir::Tile::Kind::kInternal &&
             tile.numNodes() > 1) {
-            tile.nodes.pop_back();
+            tiled.popNode(id);
             break;
         }
     }
@@ -319,8 +319,7 @@ TEST(HirVerifier, DetectsNodeOutsideBaseTree)
 {
     hir::HirModule module = makeTiledModule(hir::Schedule());
     auto &tiled = const_cast<hir::TiledTree &>(module.tiledTree(0));
-    tiled.mutableTile(0).nodes.front() =
-        tiled.baseTree().numNodes() + 5;
+    tiled.setNode(0, 0, tiled.baseTree().numNodes() + 5);
     DiagnosticEngine diag;
     analysis::verifyHir(module, diag);
     EXPECT_TRUE(diag.hasCode("hir.tiling.node-range"))
@@ -331,7 +330,7 @@ TEST(HirVerifier, DetectsRootTileWithParent)
 {
     hir::HirModule module = makeTiledModule(hir::Schedule());
     auto &tiled = const_cast<hir::TiledTree &>(module.tiledTree(0));
-    tiled.mutableTile(tiled.rootTile()).parent = 1;
+    tiled.setParent(tiled.rootTile(), 1);
     DiagnosticEngine diag;
     analysis::verifyHir(module, diag);
     EXPECT_TRUE(diag.hasCode("hir.tiling.parent-link"))
@@ -343,9 +342,9 @@ TEST(HirVerifier, DetectsStaleLeafValue)
     hir::HirModule module = makeTiledModule(hir::Schedule());
     auto &tiled = const_cast<hir::TiledTree &>(module.tiledTree(0));
     for (hir::TileId id = 0; id < tiled.numTiles(); ++id) {
-        hir::Tile &tile = tiled.mutableTile(id);
+        hir::Tile tile = tiled.tile(id);
         if (tile.kind == hir::Tile::Kind::kLeaf) {
-            tile.leafValue += 1.0f;
+            tiled.setLeafValue(id, tile.leafValue + 1.0f);
             break;
         }
     }

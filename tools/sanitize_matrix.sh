@@ -57,12 +57,18 @@ DEFAULT_FILTER="$DEFAULT_FILTER"'|HotPath'
 # frame-assembly buffers; the wire fuzzer rides along with random
 # frames.
 DEFAULT_FILTER="$DEFAULT_FILTER"'|WireCodec|WireTransport|WireExactness|WireFuzz'
+# HIR tile storage: tiles live in flat per-tree arrays indexed by
+# record offsets, and padding appends into pre-reserved space — the
+# memory modes prove tiling, padding and the lowering goldens
+# (HirStorageGolden) never index past a tile's spans.
+DEFAULT_FILTER="$DEFAULT_FILTER"'|Tiling|HirStorage'
 FILTER="${TREEBEARD_SANITIZE_TESTS:-$DEFAULT_FILTER}"
 
 TARGETS=(codegen_test packed_layout_test backend_parity_test
          hot_path_test verifier_test resident_dataset_test
          concurrency_test serving_test lock_order_test
-         property_sweep_test transport_test wire_fuzz_test)
+         property_sweep_test transport_test wire_fuzz_test
+         tiling_test hir_storage_test)
 
 for sanitizer in "${SANITIZERS[@]}"; do
     case "$sanitizer" in
