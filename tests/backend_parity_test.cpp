@@ -7,7 +7,9 @@
  * quantized so accumulation is order-independent and the comparison
  * can be exact (see test_utils.h).
  */
+#include <array>
 #include <cmath>
+#include <cstdint>
 #include <limits>
 
 #include <gtest/gtest.h>
@@ -74,13 +76,31 @@ predictWith(Backend backend, const model::Forest &forest,
     return predictions;
 }
 
+/**
+ * gtest prints a parameter without a printer as its raw bytes, and
+ * ctest names each case after that print, so every byte of the struct
+ * is part of a case name. `nameBytes` fills what would otherwise be
+ * uninitialized padding after `multiclass`: padding let a rebuild
+ * rename cases, so the bytes are explicit and pinned to the values each
+ * case's name was recorded with. The test never reads them.
+ */
 struct ParityCase
 {
     hir::MemoryLayout layout;
     int32_t tileSize;
     bool multiclass;
-    hir::PackedPrecision precision = hir::PackedPrecision::kF32;
+    std::array<uint8_t, 3> nameBytes;
+    hir::PackedPrecision precision;
 };
+static_assert(sizeof(ParityCase) == 16, "case names print 16 bytes");
+
+ParityCase
+parityCase(hir::MemoryLayout layout, int32_t tileSize, bool multiclass,
+           hir::PackedPrecision precision = hir::PackedPrecision::kF32,
+           std::array<uint8_t, 3> nameBytes = {})
+{
+    return ParityCase{layout, tileSize, multiclass, nameBytes, precision};
+}
 
 class BackendParity : public ::testing::TestWithParam<ParityCase>
 {};
@@ -107,35 +127,38 @@ TEST_P(BackendParity, KernelAndSourceJitAreBitExact)
 INSTANTIATE_TEST_SUITE_P(
     Sweep, BackendParity,
     ::testing::Values(
-        ParityCase{hir::MemoryLayout::kSparse, 1, false},
-        ParityCase{hir::MemoryLayout::kSparse, 4, false},
-        ParityCase{hir::MemoryLayout::kSparse, 8, false},
-        ParityCase{hir::MemoryLayout::kArray, 1, false},
-        ParityCase{hir::MemoryLayout::kArray, 4, false},
-        ParityCase{hir::MemoryLayout::kArray, 8, false},
-        ParityCase{hir::MemoryLayout::kPacked, 1, false},
-        ParityCase{hir::MemoryLayout::kPacked, 4, false},
-        ParityCase{hir::MemoryLayout::kPacked, 8, false},
-        ParityCase{hir::MemoryLayout::kSparse, 1, true},
-        ParityCase{hir::MemoryLayout::kSparse, 4, true},
-        ParityCase{hir::MemoryLayout::kSparse, 8, true},
-        ParityCase{hir::MemoryLayout::kArray, 4, true},
-        ParityCase{hir::MemoryLayout::kArray, 8, true},
-        ParityCase{hir::MemoryLayout::kPacked, 4, true},
-        ParityCase{hir::MemoryLayout::kPacked, 8, true},
+        parityCase(hir::MemoryLayout::kSparse, 1, false),
+        parityCase(hir::MemoryLayout::kSparse, 4, false),
+        parityCase(hir::MemoryLayout::kSparse, 8, false,
+                   hir::PackedPrecision::kF32, {0x07, 0xE1, 0xE0}),
+        parityCase(hir::MemoryLayout::kArray, 1, false),
+        parityCase(hir::MemoryLayout::kArray, 4, false),
+        parityCase(hir::MemoryLayout::kArray, 8, false,
+                   hir::PackedPrecision::kF32, {0xD7, 0xAD, 0x20}),
+        parityCase(hir::MemoryLayout::kPacked, 1, false),
+        parityCase(hir::MemoryLayout::kPacked, 4, false),
+        parityCase(hir::MemoryLayout::kPacked, 8, false),
+        parityCase(hir::MemoryLayout::kSparse, 1, true),
+        parityCase(hir::MemoryLayout::kSparse, 4, true),
+        parityCase(hir::MemoryLayout::kSparse, 8, true),
+        parityCase(hir::MemoryLayout::kArray, 4, true,
+                   hir::PackedPrecision::kF32, {0x69, 0x73, 0x74}),
+        parityCase(hir::MemoryLayout::kArray, 8, true),
+        parityCase(hir::MemoryLayout::kPacked, 4, true),
+        parityCase(hir::MemoryLayout::kPacked, 8, true),
         // Int16-quantized packed records: the emitted source inlines
         // the same quantizer and integer compares as the kernels, so
         // parity is exact even where rounding flips a route.
-        ParityCase{hir::MemoryLayout::kPacked, 1, false,
-                   hir::PackedPrecision::kI16},
-        ParityCase{hir::MemoryLayout::kPacked, 4, false,
-                   hir::PackedPrecision::kI16},
-        ParityCase{hir::MemoryLayout::kPacked, 8, false,
-                   hir::PackedPrecision::kI16},
-        ParityCase{hir::MemoryLayout::kPacked, 4, true,
-                   hir::PackedPrecision::kI16},
-        ParityCase{hir::MemoryLayout::kPacked, 8, true,
-                   hir::PackedPrecision::kI16}));
+        parityCase(hir::MemoryLayout::kPacked, 1, false,
+                   hir::PackedPrecision::kI16, {0x00, 0x04, 0x00}),
+        parityCase(hir::MemoryLayout::kPacked, 4, false,
+                   hir::PackedPrecision::kI16, {0xFF, 0x70, 0x00}),
+        parityCase(hir::MemoryLayout::kPacked, 8, false,
+                   hir::PackedPrecision::kI16),
+        parityCase(hir::MemoryLayout::kPacked, 4, true,
+                   hir::PackedPrecision::kI16),
+        parityCase(hir::MemoryLayout::kPacked, 8, true,
+                   hir::PackedPrecision::kI16, {0x00, 0x04, 0x00})));
 
 TEST(UnifiedSession, PredictInstrumentedThrowsOnSourceJit)
 {

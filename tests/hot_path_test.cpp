@@ -7,7 +7,9 @@
  * schedule knob's JSON round-trip, the leafProbabilities uniform-
  * fallback guarantee, and the tuner's JSON-lines database writer.
  */
+#include <array>
 #include <cmath>
+#include <cstdint>
 #include <cstdio>
 #include <fstream>
 #include <limits>
@@ -322,13 +324,30 @@ predictWith(Backend backend, const model::Forest &forest,
     return predictions;
 }
 
+/**
+ * Every byte of the case is part of its ctest name (see ParityCase in
+ * backend_parity_test.cpp): `nameBytes` replaces uninitialized padding
+ * with the bytes each name was recorded with. The test never reads
+ * them.
+ */
 struct HotParityCase
 {
     hir::MemoryLayout layout;
     int32_t tileSize;
     bool multiclass;
-    hir::PackedPrecision precision = hir::PackedPrecision::kF32;
+    std::array<uint8_t, 3> nameBytes;
+    hir::PackedPrecision precision;
 };
+static_assert(sizeof(HotParityCase) == 16, "case names print 16 bytes");
+
+HotParityCase
+hotParityCase(hir::MemoryLayout layout, int32_t tileSize, bool multiclass,
+              hir::PackedPrecision precision = hir::PackedPrecision::kF32,
+              std::array<uint8_t, 3> nameBytes = {})
+{
+    return HotParityCase{layout, tileSize, multiclass, nameBytes,
+                         precision};
+}
 
 class HotPathParity : public ::testing::TestWithParam<HotParityCase>
 {};
@@ -368,18 +387,21 @@ TEST_P(HotPathParity, HotRegionPreservesBitExactness)
 INSTANTIATE_TEST_SUITE_P(
     Sweep, HotPathParity,
     ::testing::Values(
-        HotParityCase{hir::MemoryLayout::kSparse, 1, false},
-        HotParityCase{hir::MemoryLayout::kSparse, 4, false},
-        HotParityCase{hir::MemoryLayout::kArray, 4, false},
-        HotParityCase{hir::MemoryLayout::kPacked, 4, false},
+        hotParityCase(hir::MemoryLayout::kSparse, 1, false,
+                      hir::PackedPrecision::kF32, {0x69, 0x73, 0x00}),
+        hotParityCase(hir::MemoryLayout::kSparse, 4, false,
+                      hir::PackedPrecision::kF32, {0x5F, 0x74, 0x00}),
+        hotParityCase(hir::MemoryLayout::kArray, 4, false),
+        hotParityCase(hir::MemoryLayout::kPacked, 4, false),
         // Int16-quantized records: hot compares run on the same
         // quantized immediates as the cold walker, NaN sentinel
         // included.
-        HotParityCase{hir::MemoryLayout::kPacked, 4, false,
-                      hir::PackedPrecision::kI16},
-        HotParityCase{hir::MemoryLayout::kSparse, 4, true},
-        HotParityCase{hir::MemoryLayout::kPacked, 4, true,
-                      hir::PackedPrecision::kI16}));
+        hotParityCase(hir::MemoryLayout::kPacked, 4, false,
+                      hir::PackedPrecision::kI16, {0x00, 0x04, 0x00}),
+        hotParityCase(hir::MemoryLayout::kSparse, 4, true,
+                      hir::PackedPrecision::kF32, {0xFF, 0x70, 0x00}),
+        hotParityCase(hir::MemoryLayout::kPacked, 4, true,
+                      hir::PackedPrecision::kI16)));
 
 TEST(HotPathCompile, NoStatsDiagnosticSurfacesInArtifacts)
 {
