@@ -98,29 +98,6 @@ hashBuffers(Hasher &h, const lir::ForestBuffers &fb)
         h.value(info.unrolled);
         h.value(info.peelDepth);
     }
-    h.value(static_cast<uint64_t>(fb.hotPaths.size()));
-    for (const lir::TreeHotPath &hot : fb.hotPaths) {
-        h.value(static_cast<uint64_t>(hot.nodes.size()));
-        for (const lir::HotPathNode &node : hot.nodes) {
-            h.value(node.threshold);
-            h.value(node.qthreshold);
-            h.value(node.feature);
-            h.value(node.defaultLeft);
-            h.value(node.left);
-            h.value(node.right);
-        }
-        h.value(static_cast<uint64_t>(hot.outcomes.size()));
-        for (const lir::HotPathOutcome &outcome : hot.outcomes) {
-            h.value(outcome.leafValue);
-            h.value(outcome.coldEntryTile);
-            h.value(outcome.probability);
-        }
-        h.value(hot.hotCoverage);
-        h.value(hot.depthFallback);
-    }
-    h.value(static_cast<uint64_t>(fb.tileGlobalIndex.size()));
-    for (const std::vector<int64_t> &index : fb.tileGlobalIndex)
-        h.array(index);
 }
 
 void
@@ -141,19 +118,17 @@ struct Config
 {
     int32_t tileSize = 4;
     bool pad = true;
-    double hotPathCoverage = 0.0;
 };
 
-/** Tile sizes 1/4/8 x pad on/off, plus one hot-path configuration. */
+/** Tile sizes 1/4/8 x pad on/off. */
 std::vector<Config>
 goldenConfigs()
 {
     std::vector<Config> configs;
     for (int32_t tile_size : {1, 4, 8}) {
         for (bool pad : {true, false})
-            configs.push_back({tile_size, pad, 0.0});
+            configs.push_back({tile_size, pad});
     }
-    configs.push_back({4, true, 0.6});
     return configs;
 }
 
@@ -184,7 +159,6 @@ layoutDigest(const model::Forest &forest, const LayoutChoice &choice)
         schedule.packedPrecision = choice.precision;
         schedule.padAndUnrollWalks = config.pad;
         schedule.peelWalks = true;
-        schedule.hotPathCoverage = config.hotPathCoverage;
 
         Session session = compile(forest, schedule);
         const runtime::ExecutablePlan &plan = session.plan();
@@ -210,38 +184,38 @@ const std::map<std::string, uint64_t> &
 recordedDigests()
 {
     static const std::map<std::string, uint64_t> digests = {
-        {"abalone/array", 0x860729893012d6e5ull},
-        {"abalone/sparse", 0x857f3a03012d827ull},
-        {"abalone/packed", 0x11ba97e4e546afdull},
-        {"abalone/packed-i16", 0xeb233adf5f5a6e62ull},
-        {"airline/array", 0x8373e32f1a38880eull},
-        {"airline/sparse", 0xb7bb3746d2a832a2ull},
-        {"airline/packed", 0xe18f1fc05c44bec6ull},
-        {"airline/packed-i16", 0xeaa043b87194a564ull},
-        {"airline-ohe/array", 0xe254e639e3884a4ull},
-        {"airline-ohe/sparse", 0xc8e2e12a0f8d38abull},
-        {"airline-ohe/packed", 0xfead1fcb85aa55f9ull},
-        {"airline-ohe/packed-i16", 0x1ae81d89e820dca5ull},
-        {"covtype/array", 0x2dbffd1ffe61ee5aull},
-        {"covtype/sparse", 0x5a469c8de6015cfeull},
-        {"covtype/packed", 0x13e0e1f8adc6220bull},
-        {"covtype/packed-i16", 0x497514e91c8ec1dull},
-        {"epsilon/array", 0x94eb77ab35bac2bbull},
-        {"epsilon/sparse", 0xb7cf66bdf7f8f375ull},
-        {"epsilon/packed", 0xb2d173e8d3b8ae2dull},
-        {"epsilon/packed-i16", 0xbb1bfccea7314ab7ull},
-        {"letter/array", 0x424d3870852f6a3eull},
-        {"letter/sparse", 0x10ca85b926484de2ull},
-        {"letter/packed", 0x97171a2689778e4ull},
-        {"letter/packed-i16", 0xf28c89141ca00971ull},
-        {"higgs/array", 0xd937c79c68ad8c03ull},
-        {"higgs/sparse", 0xf4a2411288335175ull},
-        {"higgs/packed", 0x8825d291667b267eull},
-        {"higgs/packed-i16", 0xf2e6a32632e6b5e8ull},
-        {"year/array", 0xb26c04e8fecd02fbull},
-        {"year/sparse", 0xf2019d2c16bbad7dull},
-        {"year/packed", 0x3a97bdee3dac4fd0ull},
-        {"year/packed-i16", 0x428f09e28ccfe3deull},
+        {"abalone/array", 0x99274fa554ec9617ull},
+        {"abalone/sparse", 0x347e9c8bce5ebef2ull},
+        {"abalone/packed", 0x5f0624ceada55661ull},
+        {"abalone/packed-i16", 0xae2fac72118c1af5ull},
+        {"airline/array", 0xbb8ed9bc68113955ull},
+        {"airline/sparse", 0x7bdabfa2712cd25cull},
+        {"airline/packed", 0xa0da64931ef3bd29ull},
+        {"airline/packed-i16", 0x9775afa9ef9c5b50ull},
+        {"airline-ohe/array", 0xa31cc5e54b51f73bull},
+        {"airline-ohe/sparse", 0x89fac66f05cad971ull},
+        {"airline-ohe/packed", 0xa0e47f4cf509d3b7ull},
+        {"airline-ohe/packed-i16", 0xa17b6a4c20397ca3ull},
+        {"covtype/array", 0x14346fa4a283ec18ull},
+        {"covtype/sparse", 0xdba1fde261679896ull},
+        {"covtype/packed", 0x1d875416c2b54a4eull},
+        {"covtype/packed-i16", 0xa479567b5e5f1794ull},
+        {"epsilon/array", 0xdd9792d22d2ea824ull},
+        {"epsilon/sparse", 0x8584e051223fea95ull},
+        {"epsilon/packed", 0x67d65a3fa362950aull},
+        {"epsilon/packed-i16", 0x638a514d9c10b6a2ull},
+        {"letter/array", 0xe80c737d435bea5aull},
+        {"letter/sparse", 0xb2f986a574b8cc17ull},
+        {"letter/packed", 0xa9c39f065872112bull},
+        {"letter/packed-i16", 0x45ab83df2a0e1822ull},
+        {"higgs/array", 0x1468f3b1764d9e24ull},
+        {"higgs/sparse", 0xc57203700b605c0full},
+        {"higgs/packed", 0xb40ce34289e42f00ull},
+        {"higgs/packed-i16", 0x9dded4aa34989bccull},
+        {"year/array", 0x8282534b16ce8ed4ull},
+        {"year/sparse", 0xc28698b99e5a66a9ull},
+        {"year/packed", 0x7aebb7127d76ec7bull},
+        {"year/packed-i16", 0xf1a4e7217cb3eddbull},
     };
     return digests;
 }
@@ -295,8 +269,6 @@ TEST_P(HirStorageGolden, TileIdsAreStable)
     model::Forest forest = data::synthesizeForest(spec);
     Hasher h;
     for (const Config &config : goldenConfigs()) {
-        if (config.hotPathCoverage > 0.0)
-            continue;
         hir::Schedule schedule;
         schedule.tiling = hir::TilingAlgorithm::kHybrid;
         schedule.tileSize = config.tileSize;
