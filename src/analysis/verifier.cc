@@ -72,11 +72,11 @@ exitOrdinalOf(const std::vector<int32_t> &left,
 
 void
 verifyInternalTile(const TiledTree &tiled, TileId id, int64_t tree_id,
+                   const std::vector<model::NodeIndex> &parents,
                    DiagnosticEngine &diag)
 {
     const model::DecisionTree &tree = tiled.baseTree();
     Tile t = tiled.tile(id);
-    std::vector<model::NodeIndex> parents = tree.parentArray();
 
     if (t.numNodes() < 1 || t.numNodes() > tiled.tileSize()) {
         diag.error(IrLevel::kHir, "hir.tiling.arity",
@@ -328,6 +328,7 @@ verifyTiledTree(const TiledTree &tiled, int64_t tree_id,
             .atTree(tree_id);
     }
 
+    std::vector<model::NodeIndex> parents = tree.parentArray();
     for (TileId id = 0; id < tiled.numTiles(); ++id) {
         if (!tile_ok[static_cast<size_t>(id)])
             continue;
@@ -374,7 +375,7 @@ verifyTiledTree(const TiledTree &tiled, int64_t tree_id,
             }
             break;
           case Tile::Kind::kInternal:
-            verifyInternalTile(tiled, id, tree_id, diag);
+            verifyInternalTile(tiled, id, tree_id, parents, diag);
             break;
         }
     }
@@ -946,133 +947,6 @@ verifyLirHeader(const ForestBuffers &buffers, DiagnosticEngine &diag)
     return ok;
 }
 
-/**
- * Hot-path program invariants (hir.hotpath.* — the programs are
- * lowered HIR regions, carried on the LIR buffers):
- *  - root-subtree: each program flattens a connected root subtree in
- *    preorder — child references point strictly forward, every
- *    non-root node is referenced exactly once, every outcome exactly
- *    once (the root is entered implicitly).
- *  - exit-target: every cold exit resumes inside its own tree's tile
- *    block, so the cold walkers enter a valid tile.
- *  - coverage-sum: outcome probabilities partition the tree's reach
- *    mass (sum to 1), and the recorded hot coverage equals the leaf
- *    outcomes' share of it.
- */
-void
-verifyHotPaths(const ForestBuffers &buffers, DiagnosticEngine &diag)
-{
-    if (buffers.hotPaths.empty())
-        return;
-    if (buffers.hotPaths.size() !=
-        static_cast<size_t>(buffers.numTrees)) {
-        diag.error(IrLevel::kHir, "hir.hotpath.root-subtree",
-                   "hot-path table has " +
-                       str(static_cast<int64_t>(
-                           buffers.hotPaths.size())) +
-                       " entries for " + str(buffers.numTrees) +
-                       " trees");
-        return;
-    }
-    for (int64_t pos = 0; pos < buffers.numTrees; ++pos) {
-        const lir::TreeHotPath &hot =
-            buffers.hotPaths[static_cast<size_t>(pos)];
-        if (hot.empty())
-            continue;
-        int32_t num_nodes = static_cast<int32_t>(hot.nodes.size());
-        int32_t num_outcomes =
-            static_cast<int32_t>(hot.outcomes.size());
-        if (num_outcomes == 0) {
-            diag.error(IrLevel::kHir, "hir.hotpath.root-subtree",
-                       "hot path has nodes but no outcomes")
-                .atTree(pos);
-            continue;
-        }
-        std::vector<int32_t> node_refs(
-            static_cast<size_t>(num_nodes), 0);
-        std::vector<int32_t> outcome_refs(
-            static_cast<size_t>(num_outcomes), 0);
-        if (num_nodes == 0)
-            outcome_refs[0] = 1; // the root reference
-        bool shape_ok = num_nodes != 0 || num_outcomes == 1;
-        for (int32_t i = 0; i < num_nodes && shape_ok; ++i) {
-            const lir::HotPathNode &node =
-                hot.nodes[static_cast<size_t>(i)];
-            for (int32_t ref : {node.left, node.right}) {
-                if (ref >= 0) {
-                    if (ref <= i || ref >= num_nodes) {
-                        shape_ok = false;
-                        break;
-                    }
-                    ++node_refs[static_cast<size_t>(ref)];
-                } else {
-                    int32_t o = -(ref + 1);
-                    if (o >= num_outcomes) {
-                        shape_ok = false;
-                        break;
-                    }
-                    ++outcome_refs[static_cast<size_t>(o)];
-                }
-            }
-        }
-        if (shape_ok) {
-            for (int32_t i = 0; i < num_nodes; ++i) {
-                if (node_refs[static_cast<size_t>(i)] !=
-                    (i == 0 ? 0 : 1))
-                    shape_ok = false;
-            }
-            for (int32_t o = 0; o < num_outcomes; ++o) {
-                if (outcome_refs[static_cast<size_t>(o)] != 1)
-                    shape_ok = false;
-            }
-        }
-        if (!shape_ok) {
-            diag.error(IrLevel::kHir, "hir.hotpath.root-subtree",
-                       "hot-path program is not the preorder "
-                       "flattening of a connected root subtree "
-                       "(child references must point strictly "
-                       "forward and reach every node and outcome "
-                       "exactly once)")
-                .atTree(pos);
-        }
-        int64_t first =
-            buffers.treeFirstTile[static_cast<size_t>(pos)];
-        int64_t end = buffers.treeTileEnd[static_cast<size_t>(pos)];
-        double total = 0.0;
-        double leaf_mass = 0.0;
-        for (int32_t o = 0; o < num_outcomes; ++o) {
-            const lir::HotPathOutcome &outcome =
-                hot.outcomes[static_cast<size_t>(o)];
-            total += outcome.probability;
-            if (outcome.coldEntryTile < 0) {
-                leaf_mass += outcome.probability;
-                continue;
-            }
-            if (outcome.coldEntryTile < first ||
-                outcome.coldEntryTile >= end) {
-                diag.error(IrLevel::kHir, "hir.hotpath.exit-target",
-                           "cold exit tile " +
-                               str(outcome.coldEntryTile) +
-                               " lies outside the tree's tile block "
-                               "[" +
-                               str(first) + ", " + str(end) + ")")
-                    .atTree(pos)
-                    .atSlot(o);
-            }
-        }
-        if (std::abs(total - 1.0) > 1e-6 ||
-            std::abs(leaf_mass - hot.hotCoverage) > 1e-6) {
-            diag.error(IrLevel::kHir, "hir.hotpath.coverage-sum",
-                       "outcome probabilities sum to " +
-                           std::to_string(total) + " with leaf mass " +
-                           std::to_string(leaf_mass) +
-                           " against recorded hot coverage " +
-                           std::to_string(hot.hotCoverage))
-                .atTree(pos);
-        }
-    }
-}
-
 } // namespace
 
 void
@@ -1314,8 +1188,6 @@ verifyLir(const lir::ForestBuffers &buffers, DiagnosticEngine &diag)
         buffers.numTrees > 0) {
         verifySafetyTail(buffers, previous_end, diag);
     }
-
-    verifyHotPaths(buffers, diag);
 }
 
 } // namespace treebeard::analysis

@@ -362,179 +362,6 @@ emitWalkFunction(std::ostringstream &os, const ForestBuffers &fb,
 }
 
 /**
- * Emit the generic cold-region walk the hot-path functions fall
- * through to: the plain (unpeeled, ununrolled) tiled walk entered at
- * an arbitrary tile, mirroring the kernel runtime's walkDynamicFrom.
- * Cold entries land mid-tree, so the group's peel/unroll shape (which
- * counts levels from the root) cannot apply here.
- */
-void
-emitColdWalkFunction(std::ostringstream &os, const ForestBuffers &fb)
-{
-    int32_t nt = fb.tileSize;
-    if (lir::isPackedKind(fb.layout)) {
-        bool quantized = fb.layout == LayoutKind::kPackedQuantized;
-        int32_t stride = quantized ? lir::packedqTileStride(nt)
-                                   : lir::packedTileStride(nt);
-        os << "static inline float cold_walk(int64_t root, "
-              "int64_t tile, "
-           << (quantized ? "const int32_t* row" : "const float* row")
-           << ",\n"
-              "    const unsigned char* packed, const float* leaves, "
-              "const int8_t* lut) {\n";
-        os << "  (void)root;\n";
-        os << "  for (;;) {\n";
-        os << "    const unsigned char* rec = packed + tile * "
-           << stride << ";\n";
-        os << "    int32_t base = childBase(rec);\n";
-        os << "    int child = evalTile(rec, row, lut);\n";
-        os << "    if (base < 0) return leaves[-(base + 1) + "
-              "child];\n";
-        os << "    tile = base + child;\n";
-        os << "  }\n";
-        os << "}\n\n";
-        return;
-    }
-    os << "static inline float cold_walk(int64_t root, int64_t tile, "
-          "const float* row,\n"
-          "    const float* thresholds, const int32_t* features,\n"
-          "    const int16_t* shape_ids, const uint8_t* default_left,\n"
-          "    const int32_t* child_base,\n"
-          "    const float* leaves, const int8_t* lut) {\n";
-    if (fb.layout == LayoutKind::kSparse) {
-        os << "  (void)root;\n";
-        os << "  for (;;) {\n";
-        os << "    int child = evalTile(tile, row, thresholds, "
-              "features, shape_ids, default_left, lut);\n";
-        os << "    int32_t base = child_base[tile];\n";
-        os << "    if (base < 0) return leaves[-(base + 1) + "
-              "child];\n";
-        os << "    tile = base + child;\n";
-        os << "  }\n";
-    } else {
-        // Array layout: recover the implicit-tree local index from
-        // the global entry tile.
-        os << "  (void)child_base; (void)leaves;\n";
-        os << "  int64_t local = tile - root;\n";
-        os << "  for (;;) {\n";
-        os << "    int64_t t = root + local;\n";
-        os << "    if (shape_ids[t] == " << lir::kLeafTileMarker
-           << ") return thresholds[t * " << nt << "];\n";
-        os << "    local = " << (nt + 1)
-           << " * local + evalTile(t, row, thresholds, features, "
-              "shape_ids, default_left, lut) + 1;\n";
-        os << "  }\n";
-    }
-    os << "}\n\n";
-}
-
-/**
- * Recursively emit the nested-ternary outcome expression of one hot
- * path: thresholds and feature indices are immediates, so the whole
- * region compiles to straight-line compare/select code with no model
- * memory traffic. The compare forms reproduce the cold walkers'
- * routing exactly, including NaN:
- *  - f32, default-right:  (v < th)       — NaN compares false, right.
- *  - f32, default-left:   (!(v >= th))   — NaN lands left; non-NaN
- *    values order identically to (v < th).
- *  - quantized: int16-domain compare against the pre-quantized
- *    threshold, with the kQuantizedNaN sentinel routed left only
- *    under default-left (the sentinel exceeds every threshold, so the
- *    default-right form needs no extra test).
- */
-void
-emitHotPathExpr(std::ostringstream &os, const lir::TreeHotPath &hot,
-                int32_t ref, bool quantized)
-{
-    if (ref < 0) {
-        os << -(ref + 1);
-        return;
-    }
-    const lir::HotPathNode &node =
-        hot.nodes[static_cast<size_t>(ref)];
-    os << "(";
-    if (quantized) {
-        os << "row[" << node.feature << "] < " << node.qthreshold;
-        if (node.defaultLeft) {
-            os << " || row[" << node.feature
-               << "] == " << lir::kQuantizedNaN;
-        }
-    } else if (node.defaultLeft) {
-        os << "!(row[" << node.feature
-           << "] >= " << floatLiteral(node.threshold) << ")";
-    } else {
-        os << "row[" << node.feature << "] < "
-           << floatLiteral(node.threshold);
-    }
-    os << " ? ";
-    emitHotPathExpr(os, hot, node.left, quantized);
-    os << " : ";
-    emitHotPathExpr(os, hot, node.right, quantized);
-    os << ")";
-}
-
-/**
- * Emit one tree's hot-path function: the nested-ternary program
- * resolves an outcome ordinal, in-region leaves return their baked
- * value, and cold exits resume the tiled walk at the recorded entry
- * tile. Signature-compatible with walk_group_* (root plus the same
- * buffer tail) so the range loop can call either per position.
- */
-void
-emitHotTreeFunction(std::ostringstream &os, const ForestBuffers &fb,
-                    int64_t pos)
-{
-    const lir::TreeHotPath &hot =
-        fb.hotPaths[static_cast<size_t>(pos)];
-    bool quantized = fb.layout == LayoutKind::kPackedQuantized;
-    os << "static inline float hot_tree_" << pos << "(int64_t root, "
-       << (quantized ? "const int32_t* row" : "const float* row");
-    if (lir::isPackedKind(fb.layout)) {
-        os << ",\n    const unsigned char* packed, const float* "
-              "leaves, const int8_t* lut) {\n";
-    } else {
-        os << ",\n    const float* thresholds, const int32_t* "
-              "features,\n"
-              "    const int16_t* shape_ids, const uint8_t* "
-              "default_left,\n"
-              "    const int32_t* child_base,\n"
-              "    const float* leaves, const int8_t* lut) {\n";
-    }
-    size_t n = hot.outcomes.size();
-    os << "  static const float kLeaf[" << n << "] = {";
-    for (size_t i = 0; i < n; ++i) {
-        if (i != 0)
-            os << ",";
-        if (i % 8 == 0)
-            os << "\n    ";
-        os << floatLiteral(hot.outcomes[i].leafValue);
-    }
-    os << "};\n";
-    os << "  static const int64_t kCold[" << n << "] = {";
-    for (size_t i = 0; i < n; ++i) {
-        if (i != 0)
-            os << ",";
-        if (i % 8 == 0)
-            os << "\n    ";
-        os << hot.outcomes[i].coldEntryTile;
-    }
-    os << "};\n";
-    os << "  int o = ";
-    emitHotPathExpr(os, hot, hot.nodes.empty() ? -1 : 0, quantized);
-    os << ";\n";
-    os << "  int64_t cold = kCold[o];\n";
-    os << "  if (__builtin_expect(cold >= 0, 0)) return "
-          "cold_walk(root, cold, row, ";
-    os << (lir::isPackedKind(fb.layout)
-               ? "packed, leaves, lut"
-               : "thresholds, features, shape_ids, default_left, "
-                 "child_base, leaves, lut");
-    os << ");\n";
-    os << "  return kLeaf[o];\n";
-    os << "}\n\n";
-}
-
-/**
  * Emit the row-parallel lane-group walker for one tree group
  * (TraversalKind::kRowParallel, tile size 1 only): 8 consecutive rows
  * walk one tree in lockstep, one AVX2 lane per row, mirroring the
@@ -807,29 +634,15 @@ emitPredictForestSource(const ForestBuffers &fb,
     // same lockstep structure, and bit-identical either way.
     bool row_parallel =
         schedule.traversal == hir::TraversalKind::kRowParallel;
-    // Hot-path mode: every position gets its own inner row loop (the
-    // hot program is per tree, not per group), which subsumes the
-    // interleave and lane-group inner-loop shapes — those axes are
-    // dropped rather than mixed. Trees the lowering left without a
-    // region still run their group's specialized walker.
-    bool hot = !fb.hotPaths.empty();
     bool rows8 = row_parallel && fb.tileSize == 1 &&
-                 fb.layout != LayoutKind::kArray && !hot;
+                 fb.layout != LayoutKind::kArray;
     emitEvalTile(os, fb);
     if (quantized)
         emitQuantizationSupport(os, fb);
-    if (hot)
-        emitColdWalkFunction(os, fb);
     for (size_t g = 0; g < groups.size(); ++g) {
         emitWalkFunction(os, fb, groups[g], g);
         if (rows8)
             emitRowParallelWalkFunction(os, fb, groups[g], g);
-    }
-    if (hot) {
-        for (int64_t pos = 0; pos < fb.numTrees; ++pos) {
-            if (!fb.hotPaths[static_cast<size_t>(pos)].empty())
-                emitHotTreeFunction(os, fb, pos);
-        }
     }
     if (multiclass)
         emitMulticlassSupport(os, fb);
@@ -910,63 +723,7 @@ emitPredictForestSource(const ForestBuffers &fb,
         }
     };
 
-    if (hot) {
-        // Tree-major with per-position bodies: hot trees run their
-        // baked comparison program, the rest their group's walker.
-        // Per-row accumulation still sums positions ascending, so
-        // predictions stay bit-identical to every other shape.
-        if (multiclass) {
-            os << "  float* acc = new float[num_rows * "
-                  "kNumClasses];\n";
-            os << "  for (int64_t i = 0; i < num_rows * kNumClasses; "
-                  "++i) acc[i] = "
-               << floatLiteral(fb.baseScore) << ";\n";
-        } else {
-            os << "  float* acc = new float[num_rows];\n";
-            os << "  for (int64_t r = 0; r < num_rows; ++r) acc[r] = "
-               << floatLiteral(fb.baseScore) << ";\n";
-        }
-        for (size_t g = 0; g < groups.size(); ++g) {
-            const TreeGroup &group = groups[g];
-            for (int64_t pos = group.beginPos; pos < group.endPos;
-                 ++pos) {
-                bool tree_hot =
-                    !fb.hotPaths[static_cast<size_t>(pos)].empty();
-                std::string target =
-                    multiclass
-                        ? "acc[r * kNumClasses + " +
-                              std::to_string(fb.treeClass
-                                                 [static_cast<size_t>(
-                                                     pos)]) +
-                              "]"
-                        : "acc[r]";
-                os << "  { int64_t root = tree_first_tile[" << pos
-                   << "];\n";
-                os << "    for (int64_t r = 0; r < num_rows; ++r) "
-                   << target << " += ";
-                if (tree_hot) {
-                    os << "hot_tree_" << pos << "(root, " << rows_name
-                       << " + r * nf, " << walk_tail << ");\n";
-                } else {
-                    os << "walk_group_" << g << "(root, " << rows_name
-                       << " + r * nf, " << walk_tail << ");\n";
-                }
-                os << "  }\n";
-            }
-        }
-        if (multiclass) {
-            os << "  for (int64_t r = 0; r < num_rows; ++r) {\n";
-            os << "    float* out = predictions + r * kNumClasses;\n";
-            os << "    for (int c = 0; c < kNumClasses; ++c) out[c] = "
-                  "acc[r * kNumClasses + c];\n";
-            os << "    finishRow(out);\n";
-            os << "  }\n";
-        } else {
-            os << "  for (int64_t r = 0; r < num_rows; ++r) ";
-            emit_objective("predictions[r]", "acc[r]");
-        }
-        os << "  delete[] acc;\n";
-    } else if (one_tree && multiclass) {
+    if (one_tree && multiclass) {
         // Per-(row, class) accumulators; each tree feeds its class.
         os << "  float* acc = new float[num_rows * kNumClasses];\n";
         os << "  for (int64_t i = 0; i < num_rows * kNumClasses; ++i) "

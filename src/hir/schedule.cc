@@ -89,10 +89,6 @@ Schedule::verifyInto(analysis::DiagnosticEngine &diag) const
         diag.error(IrLevel::kSchedule, "schedule.pad-slack.range",
                    "padDepthSlack must be non-negative");
     }
-    if (!(hotPathCoverage >= 0.0 && hotPathCoverage <= 1.0)) {
-        diag.error(IrLevel::kSchedule, "hir.schedule.hot-path.range",
-                   "hotPathCoverage must be in [0, 1] (0 = off)");
-    }
 }
 
 void
@@ -155,7 +151,6 @@ scheduleToJsonString(const Schedule &schedule)
         JsonValue(static_cast<int64_t>(schedule.rowChunkRows));
     object["assume_no_missing"] =
         JsonValue(schedule.assumeNoMissingValues);
-    object["hot_path_coverage"] = JsonValue(schedule.hotPathCoverage);
     return JsonValue(std::move(object)).dump();
 }
 
@@ -214,9 +209,20 @@ scheduleFromJsonString(const std::string &text)
                 "row-parallel"
             ? TraversalKind::kRowParallel
             : TraversalKind::kNodeParallel;
+    // Documents written while the hot-path tier existed carry its
+    // coverage; a nonzero one asked for code this compiler no longer
+    // emits, so refuse it rather than silently walk without it.
     JsonValue default_off(0.0);
-    schedule.hotPathCoverage =
-        document.getOr("hot_path_coverage", default_off).asNumber();
+    if (document.getOr("hot_path_coverage", default_off).asNumber() !=
+        0.0) {
+        analysis::DiagnosticEngine diag;
+        diag.setPass("schedule-validate");
+        diag.error(analysis::IrLevel::kSchedule,
+                   "hir.schedule.hot-path.removed",
+                   "hot_path_coverage must be 0: the hot-path tier was "
+                   "removed");
+        diag.throwIfErrors();
+    }
     schedule.validate();
     return schedule;
 }
@@ -238,8 +244,6 @@ Schedule::toString() const
        << " threads=" << numThreads;
     if (rowChunkRows > 0)
         os << " chunk=" << rowChunkRows;
-    if (hotPathCoverage > 0.0)
-        os << " hot=" << hotPathCoverage;
     return os.str();
 }
 

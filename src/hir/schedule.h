@@ -171,18 +171,6 @@ struct Schedule
      * default directions.
      */
     bool assumeNoMissingValues = false;
-    /**
-     * Fraction of training hits the per-tree branchless hot path must
-     * cover (Section III-B2's probability skew, spent on code shape
-     * instead of tile shape). 0 disables hot-path emission; positive
-     * values select the minimal root subtree of each tiled tree whose
-     * leaves absorb at least this probability mass and compile it to
-     * straight-line immediate-operand comparisons, falling through to
-     * the tiled walkers when a row exits the region. Trees without
-     * recorded hit statistics fall back to depth-based selection (a
-     * hir.hotpath.no-stats note is emitted).
-     */
-    double hotPathCoverage = 0.0;
 
     /**
      * Report every out-of-range knob into @p diag ("schedule.*"

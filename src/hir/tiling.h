@@ -52,8 +52,8 @@ struct TilingOptions
 /**
  * Per-node reach probabilities of @p tree (internal nodes included):
  * leaf entries come from leafProbabilities(), internal entries are the
- * post-order sums of their subtrees, so the root carries 1. Shared by
- * probability-based tiling and hot-path selection.
+ * post-order sums of their subtrees, so the root carries 1. Drives
+ * probability-based tiling.
  */
 std::vector<double> nodeProbabilities(const model::DecisionTree &tree);
 

@@ -268,57 +268,6 @@ struct QuantizationInfo
     }
 };
 
-/**
- * One comparison of a tree's lowered hot path. Thresholds and feature
- * indices are copied out of the model (the emitters bake them in as
- * immediates); the packed-quantized layout additionally carries the
- * pre-quantized threshold so the hot compare runs in the int16 domain
- * with the same rounding as the tile records. Child references follow
- * hir::HotPathProgram: r >= 0 names the next hot node (always > the
- * current index), r < 0 names outcome -(r + 1).
- */
-struct HotPathNode
-{
-    float threshold = 0.0f;
-    /** quantizeValue(threshold, feature); packed-quantized only. */
-    int16_t qthreshold = 0;
-    int32_t feature = 0;
-    /** Missing (NaN) values route left when nonzero. */
-    uint8_t defaultLeft = 0;
-    int32_t left = 0;
-    int32_t right = 0;
-};
-
-/** One hot-path outcome: a resolved leaf or a cold-walk entry tile. */
-struct HotPathOutcome
-{
-    /** Leaf prediction when coldEntryTile < 0. */
-    float leafValue = 0.0f;
-    /**
-     * Global tile index the tiled walk resumes from, or -1 when the
-     * hot path resolved a leaf in-region.
-     */
-    int64_t coldEntryTile = -1;
-    /** Reach probability mass (verifier accounting; sums to 1). */
-    double probability = 0.0;
-};
-
-/**
- * One tree's lowered hot path (empty nodes + outcomes = no hot region;
- * that tree uses the plain tiled walk).
- */
-struct TreeHotPath
-{
-    std::vector<HotPathNode> nodes;
-    std::vector<HotPathOutcome> outcomes;
-    /** Probability mass resolved in-region. */
-    double hotCoverage = 0.0;
-    /** Selection ran without hit statistics (depth-based region). */
-    bool depthFallback = false;
-
-    bool empty() const { return nodes.empty() && outcomes.empty(); }
-};
-
 /** Walk-shape metadata for one tree, copied from its HIR tree group. */
 struct TreeWalkInfo
 {
@@ -394,24 +343,6 @@ struct ForestBuffers
 
     /** Per-tree walk metadata (unroll/peel), by buffer tree index. */
     std::vector<TreeWalkInfo> walkInfo;
-
-    /**
-     * Per-position hot paths (Schedule::hotPathCoverage > 0 only;
-     * empty vector = hot-path lowering off). Built after the layout by
-     * lir::buildHotPaths; both backends consult it through the same
-     * structure so the bit-exactness invariant is preserved at the
-     * hot/cold boundary.
-     */
-    std::vector<TreeHotPath> hotPaths;
-
-    /**
-     * Build-time scaffolding for hot-path lowering: per position, the
-     * global tile index of every HIR tile id (-1 for tiles the layout
-     * never materializes, i.e. leaf tiles folded into childBase).
-     * Recorded by the layout builders only when the schedule requests
-     * a hot path, consumed and cleared by buildHotPaths.
-     */
-    std::vector<std::vector<int64_t>> tileGlobalIndex;
 
     int64_t numTiles() const
     {

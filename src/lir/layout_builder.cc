@@ -171,17 +171,11 @@ buildArrayLayout(const hir::HirModule &module)
     growTileStorage(fb, total_tiles);
     std::fill(fb.shapeIds.begin(), fb.shapeIds.end(), kUnusedTileMarker);
 
-    bool record_tiles = module.schedule().hotPathCoverage > 0.0;
-
     // Second pass: place tiles at their implicit positions.
     for (int64_t pos = 0; pos < fb.numTrees; ++pos) {
         const TiledTree &tiled =
             module.tiledTree(module.treeOrder()[static_cast<size_t>(pos)]);
         int64_t base = fb.treeFirstTile[static_cast<size_t>(pos)];
-        std::vector<int64_t> tile_global;
-        if (record_tiles)
-            tile_global.assign(static_cast<size_t>(tiled.numTiles()),
-                               -1);
 
         // BFS carrying each tile's local array index.
         std::queue<std::pair<TileId, int64_t>> queue;
@@ -190,8 +184,6 @@ buildArrayLayout(const hir::HirModule &module)
             auto [id, local] = queue.front();
             queue.pop();
             int64_t global = base + local;
-            if (record_tiles)
-                tile_global[static_cast<size_t>(id)] = global;
             panicIf(global >= fb.treeTileEnd[static_cast<size_t>(pos)],
                     "array layout index escaped its tree block");
             Tile tile = tiled.tile(id);
@@ -210,8 +202,6 @@ buildArrayLayout(const hir::HirModule &module)
                 queue.push({tile.children()[c], child_local});
             }
         }
-        if (record_tiles)
-            fb.tileGlobalIndex.push_back(std::move(tile_global));
     }
     return fb;
 }
@@ -231,17 +221,11 @@ buildSparseLayout(const hir::HirModule &module)
         float hopValue = 0.0f;
     };
 
-    bool record_tiles = module.schedule().hotPathCoverage > 0.0;
-
     for (int64_t pos = 0; pos < fb.numTrees; ++pos) {
         const TiledTree &tiled =
             module.tiledTree(module.treeOrder()[static_cast<size_t>(pos)]);
         int64_t base = fb.numTiles();
         fb.treeFirstTile.push_back(base);
-        std::vector<int64_t> tile_global;
-        if (record_tiles)
-            tile_global.assign(static_cast<size_t>(tiled.numTiles()),
-                               -1);
 
         std::vector<Item> items;
         Tile root = tiled.tile(tiled.rootTile());
@@ -263,9 +247,6 @@ buildSparseLayout(const hir::HirModule &module)
                 growTileStorage(fb, global + 1);
                 fb.childBase.resize(static_cast<size_t>(global + 1));
             }
-            if (record_tiles && item.id != hir::kNoTile)
-                tile_global[static_cast<size_t>(item.id)] = global;
-
             if (item.id == hir::kNoTile) {
                 // Hop tile: dummy predicates route every walk to
                 // child 0, so a single leaf value suffices.
@@ -342,8 +323,6 @@ buildSparseLayout(const hir::HirModule &module)
                     items.push_back({child, 0.0f});
             }
         }
-        if (record_tiles)
-            fb.tileGlobalIndex.push_back(std::move(tile_global));
         fb.treeTileEnd.push_back(fb.numTiles());
     }
 

@@ -78,11 +78,9 @@ class DecisionTree
      * Guarantee: when no hit counts were recorded (all hitCount fields
      * are <= 0), the result is the deterministic uniform distribution
      * 1/numLeaves for every leaf — never NaN, never zeros — so
-     * downstream consumers (probability tiling, hot-path selection)
-     * can rely on a well-formed distribution without re-checking the
-     * statistics. Hot-path selection additionally detects this case
-     * and switches to its depth-based fallback, reported as
-     * hir.hotpath.no-stats.
+     * downstream consumers (probability tiling, model statistics) can
+     * rely on a well-formed distribution without re-checking the
+     * statistics.
      *
      * @return pairs are implicit: result[i] corresponds to
      *         leafIndices()[i]; entries sum to 1 for non-empty trees.

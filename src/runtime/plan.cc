@@ -60,32 +60,29 @@ using lir::ForestBuffers;
 using lir::LayoutKind;
 
 /**
- * Generic dynamic-tile-size walk (any layout) entered at an arbitrary
- * tile of tree @p pos — the root for full walks, or a hot-path cold
- * exit tile mid-tree. Used for tile sizes without a specialized
- * kernel, by the instrumented path and by the hot-path runner.
+ * Generic dynamic-tile-size walk of tree @p pos (any layout). Used for
+ * tile sizes without a specialized kernel and by the instrumented path.
  */
 float
-walkDynamicFrom(const ForestBuffers &fb, int64_t pos, int64_t tile,
-                const float *row)
+walkDynamic(const ForestBuffers &fb, int64_t pos, const float *row)
 {
+    int64_t base = fb.treeFirstTile[static_cast<size_t>(pos)];
     if (fb.layout != LayoutKind::kArray) {
         // Sparse and packed share the child-base chaining scheme.
-        (void)pos;
+        int64_t tile = base;
         while (true) {
             int32_t child = evalTileDynamic(fb, tile, row);
-            int32_t base = fb.tileFields(tile).childBase;
-            if (base < 0)
-                return fb.leaves[static_cast<size_t>(-(base + 1) +
+            int32_t child_base = fb.tileFields(tile).childBase;
+            if (child_base < 0)
+                return fb.leaves[static_cast<size_t>(-(child_base + 1) +
                                                      child)];
-            tile = base + child;
+            tile = child_base + child;
         }
     }
-    int64_t base = fb.treeFirstTile[static_cast<size_t>(pos)];
     int64_t arity = fb.tileSize + 1;
-    int64_t local = tile - base;
+    int64_t local = 0;
     while (true) {
-        tile = base + local;
+        int64_t tile = base + local;
         if (fb.shapeIds[static_cast<size_t>(tile)] ==
             lir::kLeafTileMarker) {
             return fb.thresholds[static_cast<size_t>(tile) *
@@ -94,55 +91,6 @@ walkDynamicFrom(const ForestBuffers &fb, int64_t pos, int64_t tile,
         int32_t child = evalTileDynamic(fb, tile, row);
         local = arity * local + child + 1;
     }
-}
-
-float
-walkDynamic(const ForestBuffers &fb, int64_t pos, const float *row)
-{
-    return walkDynamicFrom(
-        fb, pos, fb.treeFirstTile[static_cast<size_t>(pos)], row);
-}
-
-/**
- * One tree under the interpreted hot-path prelude: run the lowered
- * branch-free comparison program first, then either return its leaf
- * or resume the tiled walk at the recorded cold entry tile. The
- * compares reproduce the cold walkers' semantics exactly — f32 NaN
- * routes by defaultLeft, and the packed-quantized layout compares in
- * the int16 domain under the same quantizer the tile records use — so
- * predictions are bit-identical with the hot path on or off.
- */
-float
-walkHotTree(const ForestBuffers &fb, int64_t pos, const float *row)
-{
-    const lir::TreeHotPath &hot =
-        fb.hotPaths[static_cast<size_t>(pos)];
-    if (hot.empty())
-        return walkDynamic(fb, pos, row);
-    bool quantized = fb.layout == LayoutKind::kPackedQuantized;
-    int32_t ref = 0;
-    do {
-        const lir::HotPathNode &node =
-            hot.nodes[static_cast<size_t>(ref)];
-        float v = row[node.feature];
-        bool go_left;
-        if (quantized) {
-            int16_t qv =
-                fb.quantization.quantizeValue(v, node.feature);
-            go_left = (qv == lir::kQuantizedNaN)
-                          ? node.defaultLeft != 0
-                          : qv < node.qthreshold;
-        } else {
-            go_left = std::isnan(v) ? node.defaultLeft != 0
-                                    : v < node.threshold;
-        }
-        ref = go_left ? node.left : node.right;
-    } while (ref >= 0);
-    const lir::HotPathOutcome &out =
-        hot.outcomes[static_cast<size_t>(-(ref + 1))];
-    if (out.coldEntryTile < 0)
-        return out.leafValue;
-    return walkDynamicFrom(fb, pos, out.coldEntryTile, row);
 }
 
 void
@@ -165,47 +113,6 @@ runRangeDynamic(const ExecutablePlan &plan, const float *rows,
             margins[static_cast<size_t>(
                 fb.treeClass[static_cast<size_t>(pos)])] +=
                 walkDynamic(fb, pos, row);
-        }
-        if (classes > 1) {
-            float *out = predictions + r * classes;
-            std::copy(margins.begin(), margins.end(), out);
-            if (fb.objective == model::Objective::kMulticlassSoftmax)
-                model::softmaxInPlace(out, classes);
-        } else {
-            predictions[r] =
-                model::applyObjective(fb.objective, margins[0]);
-        }
-    }
-}
-
-/**
- * Range runner with the interpreted hot-path prelude. Selected over
- * every specialized kernel whenever the lowering kept any hot region:
- * the hot compares are the point of the schedule, and mixing
- * specialized group kernels with per-tree preludes would change
- * nothing for trees without one (walkHotTree falls straight through
- * to the plain walk). Traversal/interleave knobs degrade to this
- * scalar shape on the kernel backend — the source JIT is the
- * performance backend for hot paths; this runner exists for the
- * bit-exactness contract.
- */
-void
-runRangeHotPath(const ExecutablePlan &plan, const float *rows,
-                const int32_t *qrows, int64_t begin, int64_t end,
-                float *predictions)
-{
-    (void)qrows; // Quantizes per compare, like the dynamic walker.
-    const ForestBuffers &fb = plan.buffers();
-    int32_t nf = fb.numFeatures;
-    int32_t classes = fb.numClasses;
-    std::vector<float> margins(static_cast<size_t>(classes));
-    for (int64_t r = begin; r < end; ++r) {
-        const float *row = rows + r * nf;
-        std::fill(margins.begin(), margins.end(), fb.baseScore);
-        for (int64_t pos = 0; pos < fb.numTrees; ++pos) {
-            margins[static_cast<size_t>(
-                fb.treeClass[static_cast<size_t>(pos)])] +=
-                walkHotTree(fb, pos, row);
         }
         if (classes > 1) {
             float *out = predictions + r * classes;
@@ -423,7 +330,7 @@ struct PlanKernels
                             for (int k = 0; k < K; ++k)
                                 row_ptrs[k] = rows_view +
                                               (r + k - origin) * nf;
-                            float out[K];
+                            float out[K] = {};
                             walkMany(fb, lut, stride, roots, row_ptrs,
                                      group, pipeline, out);
                             for (int k = 0; k < K; ++k)
@@ -462,7 +369,7 @@ struct PlanKernels
                                 static_cast<size_t>(pos + k)];
                             row_ptrs[k] = row;
                         }
-                        float out[K];
+                        float out[K] = {};
                         walkMany(fb, lut, stride, roots, row_ptrs,
                                  group, pipeline, out);
                         for (int k = 0; k < K; ++k) {
@@ -556,7 +463,7 @@ struct PlanKernels
                             for (int k = 0; k < K; ++k)
                                 row_ptrs[k] = rows_view +
                                               (r + k - origin) * nf;
-                            float out[K];
+                            float out[K] = {};
                             walkMany(fb, lut, stride, roots, row_ptrs,
                                      group, pipeline, out);
                             for (int k = 0; k < K; ++k)
@@ -594,7 +501,7 @@ struct PlanKernels
                                 static_cast<size_t>(pos + k)];
                             row_ptrs[k] = row;
                         }
-                        float out[K];
+                        float out[K] = {};
                         walkMany(fb, lut, stride, roots, row_ptrs,
                                  group, pipeline, out);
                         for (int k = 0; k < K; ++k)
@@ -1008,10 +915,6 @@ ExecutablePlan::ExecutablePlan(lir::ForestBuffers buffers,
 void
 ExecutablePlan::selectRunner()
 {
-    if (!buffers_.hotPaths.empty()) {
-        runner_ = &runRangeHotPath;
-        return;
-    }
     int32_t factor = mir_.schedule.interleaveFactor;
     // Missing-value handling is on by default (NaN inputs then route
     // per default directions, all-right for models without them, and

@@ -22,8 +22,6 @@
  *   --traversal node|row (SIMD shape: node-parallel tile evaluation
  *     vs row-parallel lane groups walking 8 rows in lockstep)
  *   --tiling basic|probability|hybrid|min-max-depth
- *   --hot-path F (fraction of training hits the per-tree branchless
- *     hot path must cover; 0 = off)
  *   --no-unroll --no-peel --no-pipeline --verify-each
  *
  * bench additionally takes --resident: bind the batch once as a
@@ -177,8 +175,6 @@ parseSchedule(const std::vector<std::string> &args, bool *dump_ir,
             else
                 fatal("--packed-precision must be f32 or i16 (got \"",
                       value, "\")");
-        } else if (arg == "--hot-path") {
-            schedule.hotPathCoverage = std::stod(next());
         } else if (arg == "--no-unroll") {
             schedule.padAndUnrollWalks = false;
         } else if (arg == "--no-peel") {

@@ -3,7 +3,6 @@
 #include "analysis/verifier.h"
 #include "common/logging.h"
 #include "common/timer.h"
-#include "lir/hot_path_builder.h"
 #include "lir/layout_builder.h"
 #include "mir/lowering.h"
 #include "mir/passes.h"
@@ -289,15 +288,6 @@ compile(const model::Forest &forest, const hir::Schedule &schedule,
         s.buffers = lir::buildForestBuffers(*s.hir);
         s.lirBuilt = true;
     });
-    // Hot-path lowering rides behind the layout (it needs the built
-    // tile indices); its notes (e.g. hir.hotpath.no-stats) surface in
-    // the artifacts alongside the per-pass verifier findings.
-    analysis::DiagnosticEngine hot_path_diags;
-    hot_path_diags.setPass("lir-hot-path");
-    pm.addPass("lir-hot-path", [&hot_path_diags](PipelineState &s) {
-        lir::buildHotPaths(*s.hir, s.buffers, &hot_path_diags);
-    });
-
     analysis::DiagnosticEngine each_pass_diags;
     if (options.verifyEach) {
         pm.setInstrumentation([&each_pass_diags](
@@ -328,8 +318,6 @@ compile(const model::Forest &forest, const hir::Schedule &schedule,
     artifacts.lirSummary = state.buffers.summary();
     artifacts.backend = options.backend;
     artifacts.diagnostics = each_pass_diags.diagnostics();
-    for (const analysis::Diagnostic &d : hot_path_diags.diagnostics())
-        artifacts.diagnostics.push_back(d);
     if (options.recordIrDumps) {
         artifacts.hirDump = state.hir->dump();
         artifacts.mirDump = state.mir.print();

@@ -58,10 +58,6 @@ enumerateSchedules(const TunerOptions &options)
                                         : std::vector<int32_t>{0};
                                 if (chunks.empty())
                                     chunks.push_back(0);
-                                std::vector<double> hots =
-                                    options.hotPathCoverages;
-                                if (hots.empty())
-                                    hots.push_back(0.0);
                                 for (hir::PackedPrecision precision :
                                      precisions) {
                                     for (int32_t chunk : chunks) {
@@ -81,29 +77,7 @@ enumerateSchedules(const TunerOptions &options)
                                         schedule.numThreads =
                                             options.numThreads;
                                         schedule.rowChunkRows = chunk;
-                                        for (double hot : hots) {
-                                            // Hot emission forces
-                                            // tree-major order and
-                                            // subsumes interleaving:
-                                            // nonzero coverages take
-                                            // one representative point
-                                            // instead of duplicating
-                                            // timings across those
-                                            // axes.
-                                            if (hot > 0.0 &&
-                                                (order !=
-                                                     options.loopOrders
-                                                         .front() ||
-                                                 interleave !=
-                                                     options
-                                                         .interleaveFactors
-                                                         .front()))
-                                                continue;
-                                            schedule.hotPathCoverage =
-                                                hot;
-                                            schedules.push_back(
-                                                schedule);
-                                        }
+                                        schedules.push_back(schedule);
                                     }
                                 }
                             }
@@ -117,9 +91,7 @@ enumerateSchedules(const TunerOptions &options)
     // are 8 scalar walks in lockstep; larger tiles already spend the
     // vector width inside the node), always tree-major, interleave
     // ignored — so the sub-grid is tiling x unroll x layout/precision
-    // x chunk. Hot-path coverage stays 0 here: hot emission replaces
-    // the lane-group inner loop, so a nonzero coverage would just
-    // duplicate the node-parallel hot points.
+    // x chunk.
     bool row_parallel =
         std::find(options.traversals.begin(), options.traversals.end(),
                   hir::TraversalKind::kRowParallel) !=

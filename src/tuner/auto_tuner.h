@@ -61,16 +61,6 @@ struct TunerOptions
     std::vector<hir::TraversalKind> traversals{
         hir::TraversalKind::kNodeParallel,
         hir::TraversalKind::kRowParallel};
-    /**
-     * Hot-path coverages (Schedule::hotPathCoverage) to explore. 0 is
-     * the plain tiled walk; nonzero values compile each tree's
-     * high-probability root subtree to straight-line code. Because hot
-     * emission forces tree-major execution and subsumes interleaving,
-     * nonzero coverages are enumerated against one representative
-     * (first) loop order and interleave factor instead of the full
-     * cross, and row-parallel points keep coverage 0.
-     */
-    std::vector<double> hotPathCoverages{0.0, 0.5, 0.8, 0.95};
     int32_t numThreads = 1;
     /**
      * Row-chunk sizes (Schedule::rowChunkRows) to explore. Only swept

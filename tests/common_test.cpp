@@ -123,7 +123,7 @@ TEST(Timer, MeasuresElapsedTime)
     Timer timer;
     volatile double sink = 0;
     for (int i = 0; i < 100000; ++i)
-        sink += i;
+        sink = sink + i;
     double first = timer.elapsedSeconds();
     EXPECT_GT(first, 0.0);
     timer.reset();

@@ -90,6 +90,45 @@ TEST(DecisionTree, AccumulateInternalHitCounts)
     EXPECT_DOUBLE_EQ(tree.node(3).hitCount, 50.0); // inner node
 }
 
+/**
+ * Documented guarantee of DecisionTree::leafProbabilities(): with no
+ * recorded hit counts the result is the deterministic uniform
+ * distribution, not zeros or NaNs.
+ */
+TEST(LeafProbabilities, UniformFallbackWithoutStatistics)
+{
+    testing::RandomForestSpec spec;
+    spec.numTrees = 3;
+    spec.statisticsRows = 0;
+    spec.seed = 9500;
+    Forest forest = testing::makeRandomForest(spec);
+    for (int64_t t = 0; t < forest.numTrees(); ++t) {
+        std::vector<double> probabilities =
+            forest.tree(t).leafProbabilities();
+        ASSERT_FALSE(probabilities.empty());
+        double uniform = 1.0 / probabilities.size();
+        double total = 0.0;
+        for (double p : probabilities) {
+            EXPECT_DOUBLE_EQ(p, uniform);
+            total += p;
+        }
+        EXPECT_NEAR(total, 1.0, 1e-12);
+    }
+}
+
+TEST(LeafProbabilities, RecordedStatisticsSumToOne)
+{
+    Forest forest = testing::makeRandomForest({});
+    for (int64_t t = 0; t < forest.numTrees(); ++t) {
+        std::vector<double> probabilities =
+            forest.tree(t).leafProbabilities();
+        double total = 0.0;
+        for (double p : probabilities)
+            total += p;
+        EXPECT_NEAR(total, 1.0, 1e-12);
+    }
+}
+
 TEST(DecisionTreeValidate, DetectsStructuralCorruption)
 {
     // Feature index out of range.

@@ -287,13 +287,6 @@ TEST_P(CrossBackendFuzz, BackendsAgreeBitExactly)
     schedule.traversal = rng.bernoulli(0.5)
                              ? hir::TraversalKind::kRowParallel
                              : hir::TraversalKind::kNodeParallel;
-    // Hot-path axis: nonzero coverages route high-probability rows
-    // through the branchless region and the rest across the hot/cold
-    // boundary into the tiled walkers (the NaN sprinkle below crosses
-    // it too); coverage 1.0 stresses the all-leaf region, and both
-    // backends must stay bit-exact with each other regardless.
-    const double hot_coverages[] = {0.0, 0.5, 0.8, 1.0};
-    schedule.hotPathCoverage = hot_coverages[rng.uniformInt(0, 3)];
 
     // Batch sizes stressing the row-loop edges: empty, single row,
     // below/above the SIMD width, non-multiples of 8 and of the

@@ -2,15 +2,18 @@
  * @file
  * Tests for the runtime substrate: the thread pool's parallelFor
  * semantics and the plan's parallel execution, plus the tuner's grid
- * enumeration and exploration.
+ * enumeration, exploration and JSON-lines database.
  */
 #include <atomic>
+#include <cstdio>
+#include <fstream>
 #include <thread>
 #include <numeric>
 #include <set>
 
 #include <gtest/gtest.h>
 
+#include "common/json.h"
 #include "common/thread_pool.h"
 #include "test_utils.h"
 #include "treebeard/compiler.h"
@@ -121,31 +124,22 @@ TEST(Tuner, GridEnumerationPrunesGatePairs)
     // 2 interleave = 4 plus hybrid 2 tiles x 3 gates x 1 x 2 = 12; the
     // default grid explores sparse, array, and packed at both record
     // precisions (f32 and i16) — 4 layout-precision points — giving
-    // 64 coverage-0 points. The hot-path axis rides only the first
-    // interleave factor (32 of those points), adding 3 nonzero
-    // coverages each: 64 + 96 = 160.
+    // 64 points.
     std::vector<hir::Schedule> schedules =
         tuner::enumerateSchedules(options);
-    EXPECT_EQ(schedules.size(), 160u);
-    size_t hot = 0;
+    EXPECT_EQ(schedules.size(), 64u);
     for (const hir::Schedule &schedule : schedules) {
         EXPECT_NO_THROW(schedule.validate());
         // Serial grids never sweep the row-chunk knob.
         EXPECT_EQ(schedule.rowChunkRows, 0);
-        if (schedule.hotPathCoverage > 0.0) {
-            ++hot;
-            EXPECT_EQ(schedule.interleaveFactor,
-                      options.interleaveFactors.front());
-        }
     }
-    EXPECT_EQ(hot, 96u);
 
     // Threaded grids additionally sweep rowChunkRows.
     options.numThreads = 4;
     options.rowChunks = {0, 128};
     std::vector<hir::Schedule> threaded =
         tuner::enumerateSchedules(options);
-    EXPECT_EQ(threaded.size(), 320u);
+    EXPECT_EQ(threaded.size(), 128u);
     bool saw_chunk = false;
     for (const hir::Schedule &schedule : threaded) {
         EXPECT_NO_THROW(schedule.validate());
@@ -164,11 +158,8 @@ TEST(Tuner, GridSweepsTraversalKindsAtTileOne)
     options.interleaveFactors = {1};
     std::vector<hir::Schedule> schedules =
         tuner::enumerateSchedules(options);
-    // 4 layout-precision points per traversal kind; the node-parallel
-    // points additionally sweep the 4 hot-path coverages (single
-    // interleave factor, so every point is the representative one),
-    // while row-parallel stays at coverage 0: 16 + 4.
-    EXPECT_EQ(schedules.size(), 20u);
+    // 4 layout-precision points per traversal kind: 4 + 4.
+    EXPECT_EQ(schedules.size(), 8u);
     size_t row_parallel = 0;
     for (const hir::Schedule &schedule : schedules) {
         EXPECT_NO_THROW(schedule.validate());
@@ -179,7 +170,6 @@ TEST(Tuner, GridSweepsTraversalKindsAtTileOne)
             EXPECT_EQ(schedule.interleaveFactor, 1);
             EXPECT_EQ(schedule.loopOrder,
                       hir::LoopOrder::kOneTreeAtATime);
-            EXPECT_EQ(schedule.hotPathCoverage, 0.0);
         }
     }
     EXPECT_EQ(row_parallel, 4u);
@@ -213,17 +203,69 @@ TEST(Tuner, ExplorationFindsAValidBest)
     tuner::TunerResult result =
         tuner::exploreSchedules(forest, rows.data(), 128, options);
     // Node-parallel: 2 tiles x 2 interleaves x 4 layout-precision
-    // points (sparse, array, packed-f32, packed-i16) = 16, plus 3
-    // nonzero hot-path coverages on each interleave-1 point (2 tiles
-    // x 4 lp = 8 -> 24 more); plus the row-parallel sub-grid at tile
-    // 1 (interleave and order pinned, coverage 0): 4 layout-precision
-    // points. 16 + 24 + 4 = 44.
-    EXPECT_EQ(result.all.size(), 44u);
+    // points (sparse, array, packed-f32, packed-i16) = 16, plus the
+    // row-parallel sub-grid at tile 1 (interleave and order pinned):
+    // 4 layout-precision points. 16 + 4 = 20.
+    EXPECT_EQ(result.all.size(), 20u);
     EXPECT_GT(result.best.seconds, 0.0);
     // `all` is sorted ascending; best is the head.
     EXPECT_EQ(result.all.front().seconds, result.best.seconds);
     for (size_t i = 1; i < result.all.size(); ++i)
         EXPECT_GE(result.all[i].seconds, result.all[i - 1].seconds);
+}
+
+TEST(Tuner, AppendTuningRecordWritesParseableJsonLines)
+{
+    testing::RandomForestSpec spec;
+    spec.numTrees = 10;
+    spec.maxDepth = 5;
+    spec.seed = 10000;
+    model::Forest forest = testing::makeRandomForest(spec);
+    std::vector<float> rows =
+        testing::makeRandomRows(spec.numFeatures, 64, 10001);
+
+    tuner::TunerOptions options;
+    options.loopOrders = {hir::LoopOrder::kOneTreeAtATime};
+    options.tileSizes = {1};
+    options.tilings = {hir::TilingAlgorithm::kBasic};
+    options.padAndUnroll = {false};
+    options.interleaveFactors = {1};
+    options.layouts = {hir::MemoryLayout::kSparse,
+                       hir::MemoryLayout::kArray};
+    options.traversals = {hir::TraversalKind::kNodeParallel};
+    options.repetitions = 1;
+    tuner::TunerResult result =
+        tuner::exploreSchedules(forest, rows.data(), 64, options);
+    ASSERT_EQ(result.all.size(), 2u);
+
+    std::string path =
+        ::testing::TempDir() + "/treebeard_tuning_db.jsonl";
+    std::remove(path.c_str());
+    tuner::appendTuningRecord(path, forest, result);
+    tuner::appendTuningRecord(path, forest, result);
+
+    std::ifstream in(path);
+    ASSERT_TRUE(in.is_open());
+    std::string line;
+    int64_t lines = 0;
+    while (std::getline(in, line)) {
+        ++lines;
+        JsonValue record = JsonValue::parse(line);
+        EXPECT_EQ(record.at("model").at("num_trees").asInt(),
+                  forest.numTrees());
+        const JsonValue::Array &points =
+            record.at("points").asArray();
+        EXPECT_EQ(points.size(), 2u);
+        for (const JsonValue &point : points)
+            EXPECT_GT(point.at("seconds").asNumber(), 0.0);
+        // The full best schedule round-trips out of the database.
+        hir::Schedule best = hir::scheduleFromJsonString(
+            record.at("best").at("schedule").dump());
+        EXPECT_EQ(hir::scheduleToJsonString(best),
+                  hir::scheduleToJsonString(result.best.schedule));
+    }
+    EXPECT_EQ(lines, 2);
+    std::remove(path.c_str());
 }
 
 } // namespace

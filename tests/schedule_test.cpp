@@ -5,6 +5,7 @@
  */
 #include <gtest/gtest.h>
 
+#include "analysis/diagnostics.h"
 #include "common/logging.h"
 #include "hir/schedule.h"
 
@@ -235,6 +236,32 @@ TEST(Schedule, JsonRejectsInvalidDocuments)
     ASSERT_NE(pos, std::string::npos);
     bad.replace(pos, 13, "\"tile_size\":0");
     EXPECT_THROW(scheduleFromJsonString(bad), Error);
+}
+
+/**
+ * Documents written while the hot-path tier existed carry
+ * "hot_path_coverage". Coverage 0 asked for the plain walk and still
+ * loads; any other value asked for the removed tier and is refused
+ * with a stable code instead of silently ignored.
+ */
+TEST(Schedule, JsonRejectsNonzeroHotPathCoverage)
+{
+    std::string text = scheduleToJsonString(Schedule{});
+    EXPECT_EQ(text.find("hot_path_coverage"), std::string::npos);
+    auto with_coverage = [&text](const std::string &value) {
+        return "{\"hot_path_coverage\":" + value + "," + text.substr(1);
+    };
+    Schedule loaded = scheduleFromJsonString(with_coverage("0"));
+    EXPECT_EQ(scheduleToJsonString(loaded), text);
+    for (const char *value : {"0.8", "1.5"}) {
+        try {
+            scheduleFromJsonString(with_coverage(value));
+            ADD_FAILURE() << "coverage " << value << " was accepted";
+        } catch (const analysis::VerificationError &error) {
+            EXPECT_TRUE(error.hasCode("hir.schedule.hot-path.removed"))
+                << error.what();
+        }
+    }
 }
 
 } // namespace

@@ -156,8 +156,9 @@ TEST(BasicTiling, CompleteTreeMatchesFastStyleTiling)
     EXPECT_EQ(tiled.maxLeafDepth(), 2);
     for (TileId id = 0; id < tiled.numTiles(); ++id) {
         const Tile &tile = tiled.tile(id);
-        if (tile.kind == Tile::Kind::kInternal)
+        if (tile.kind == Tile::Kind::kInternal) {
             EXPECT_EQ(tile.numNodes(), 3);
+        }
     }
 }
 

@@ -71,8 +71,7 @@ if [ "${TREEBEARD_CI_SKIP_BENCH_SMOKE:-0}" != "1" ]; then
     mkdir -p "$SMOKE_DIR"
     export TREEBEARD_BENCH_SCALE=0.02
     for bench in bench_layout_memory bench_quantized_packed \
-                 bench_resident_rows bench_row_parallel \
-                 bench_hot_path; do
+                 bench_resident_rows bench_row_parallel; do
         out="$SMOKE_DIR/$bench.json"
         echo "--- $bench ---"
         "$BUILD_DIR/bench/$bench" "$out" > "$SMOKE_DIR/$bench.csv"

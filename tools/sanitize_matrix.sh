@@ -45,11 +45,6 @@ DEFAULT_FILTER="$DEFAULT_FILTER"'|ModelRegistry|DynamicBatcher|Server|ServingExa
 # written for thread mode — TSan watches the reap path while the
 # runtime validator asserts no runtime.lock.* diagnostic fires.
 DEFAULT_FILTER="$DEFAULT_FILTER"'|LockOrder'
-# The hot-path suite: selection walks recycled tile graphs and the
-# lowered programs index the cold buffers by stored tile ids — the
-# memory modes prove both the builder and the interpreted prelude stay
-# in bounds across layouts.
-DEFAULT_FILTER="$DEFAULT_FILTER"'|HotPath'
 # The TCP transport: the fault-injection matrix (torn frames,
 # mid-predict disconnects, stop-under-load) exercises the acceptor /
 # handler / stop teardown races — thread mode proves the connection
@@ -65,7 +60,7 @@ DEFAULT_FILTER="$DEFAULT_FILTER"'|Tiling|HirStorage'
 FILTER="${TREEBEARD_SANITIZE_TESTS:-$DEFAULT_FILTER}"
 
 TARGETS=(codegen_test packed_layout_test backend_parity_test
-         hot_path_test verifier_test resident_dataset_test
+         verifier_test resident_dataset_test
          concurrency_test serving_test lock_order_test
          property_sweep_test transport_test wire_fuzz_test
          tiling_test hir_storage_test)
