@@ -5,6 +5,7 @@
 #include <cstring>
 #include <limits>
 #include <queue>
+#include <utility>
 
 #include "common/logging.h"
 
@@ -138,6 +139,50 @@ growTileStorage(ForestBuffers &fb, int64_t total_tiles)
     fb.defaultLeft.resize(static_cast<size_t>(total_tiles));
 }
 
+/**
+ * Tiles and leaf-pool entries the sparse layout materializes for one
+ * tree: buildSparseLayout's item walk, counted without writing, so the
+ * buffers can be sized once before they are filled.
+ */
+std::pair<int64_t, int64_t>
+sparseTreeSize(const TiledTree &tiled)
+{
+    if (tiled.tile(tiled.rootTile()).isLeafKind())
+        return {1, 1}; // one hop tile holding the single leaf
+    int64_t tiles = 0;
+    int64_t leaves = 0;
+    std::vector<TileId> pending{tiled.rootTile()};
+    while (!pending.empty()) {
+        Tile tile = tiled.tile(pending.back());
+        pending.pop_back();
+        ++tiles;
+        if (tile.kind == Tile::Kind::kDummyInternal) {
+            TileId continuation = tile.children().front();
+            if (tiled.tile(continuation).isLeafKind())
+                ++leaves;
+            else
+                pending.push_back(continuation);
+            continue;
+        }
+        bool all_leaves = true;
+        for (TileId child : tile.children())
+            all_leaves = all_leaves && tiled.tile(child).isLeafKind();
+        if (all_leaves) {
+            leaves += static_cast<int64_t>(tile.children().size());
+            continue;
+        }
+        for (TileId child : tile.children()) {
+            if (tiled.tile(child).isLeafKind()) {
+                ++tiles; // hop tile
+                ++leaves;
+            } else {
+                pending.push_back(child);
+            }
+        }
+    }
+    return {tiles, leaves};
+}
+
 } // namespace
 
 ForestBuffers
@@ -151,6 +196,8 @@ buildArrayLayout(const hir::HirModule &module)
     // First pass: compute each tree's implicit array size.
     std::vector<int64_t> tree_sizes;
     int64_t total_tiles = 0;
+    fb.treeFirstTile.reserve(static_cast<size_t>(fb.numTrees));
+    fb.treeTileEnd.reserve(static_cast<size_t>(fb.numTrees));
     for (int64_t pos = 0; pos < fb.numTrees; ++pos) {
         const TiledTree &tiled =
             module.tiledTree(module.treeOrder()[static_cast<size_t>(pos)]);
@@ -221,10 +268,27 @@ buildSparseLayout(const hir::HirModule &module)
         float hopValue = 0.0f;
     };
 
+    // Size every buffer once (the safety tail below included): grown
+    // tile by tile, vector doubling would leave capacity slack that a
+    // resident Session keeps for its lifetime.
+    int64_t total_tiles = fb.tileSize + 1;
+    int64_t total_leaves = fb.tileSize + 1;
+    for (int64_t pos = 0; pos < fb.numTrees; ++pos) {
+        auto [tiles, leaves] = sparseTreeSize(module.tiledTree(
+            module.treeOrder()[static_cast<size_t>(pos)]));
+        total_tiles += tiles;
+        total_leaves += leaves;
+    }
+    growTileStorage(fb, total_tiles);
+    fb.childBase.resize(static_cast<size_t>(total_tiles));
+    fb.leaves.reserve(static_cast<size_t>(total_leaves));
+    fb.treeFirstTile.reserve(static_cast<size_t>(fb.numTrees));
+    fb.treeTileEnd.reserve(static_cast<size_t>(fb.numTrees));
+
+    int64_t base = 0;
     for (int64_t pos = 0; pos < fb.numTrees; ++pos) {
         const TiledTree &tiled =
             module.tiledTree(module.treeOrder()[static_cast<size_t>(pos)]);
-        int64_t base = fb.numTiles();
         fb.treeFirstTile.push_back(base);
 
         std::vector<Item> items;
@@ -242,11 +306,6 @@ buildSparseLayout(const hir::HirModule &module)
         for (size_t head = 0; head < items.size(); ++head) {
             Item item = items[head];
             int64_t global = base + static_cast<int64_t>(head);
-            // Grow per-tile storage lazily.
-            if (fb.numTiles() <= global) {
-                growTileStorage(fb, global + 1);
-                fb.childBase.resize(static_cast<size_t>(global + 1));
-            }
             if (item.id == hir::kNoTile) {
                 // Hop tile: dummy predicates route every walk to
                 // child 0, so a single leaf value suffices.
@@ -323,8 +382,13 @@ buildSparseLayout(const hir::HirModule &module)
                     items.push_back({child, 0.0f});
             }
         }
-        fb.treeTileEnd.push_back(fb.numTiles());
+        base += static_cast<int64_t>(items.size());
+        fb.treeTileEnd.push_back(base);
     }
+    panicIf(base + fb.tileSize + 1 != total_tiles ||
+                static_cast<int64_t>(fb.leaves.size()) + fb.tileSize + 1 !=
+                    total_leaves,
+            "sparse layout sizing pass disagrees with the fill");
 
     // Safety tail: dummy tiles route every walk to child 0 — their
     // default-direction bits are all-left, so this holds for NaN
@@ -334,9 +398,7 @@ buildSparseLayout(const hir::HirModule &module)
     // leaves so any stray child index lands in valid storage (tile
     // indices only ever increase, so such a walk still terminates).
     {
-        int64_t tail_begin = fb.numTiles();
-        growTileStorage(fb, tail_begin + fb.tileSize + 1);
-        fb.childBase.resize(static_cast<size_t>(fb.numTiles()));
+        int64_t tail_begin = base;
         int64_t zero_base = static_cast<int64_t>(fb.leaves.size());
         for (int32_t c = 0; c <= fb.tileSize; ++c)
             fb.leaves.push_back(0.0f);

@@ -9,6 +9,7 @@
 
 #include <gtest/gtest.h>
 
+#include "data/synthetic.h"
 #include "lir/layout_builder.h"
 #include "test_utils.h"
 
@@ -218,6 +219,55 @@ TEST(ForestBuffersSummary, MentionsLayoutAndSizes)
     EXPECT_NE(summary.find("sparse"), std::string::npos);
     EXPECT_NE(summary.find("tiles="), std::string::npos);
     EXPECT_GT(fb.lutBytes(), 0);
+}
+
+/**
+ * Every buffer is sized once, so none holds growth slack for the
+ * lifetime of the Session that keeps it: on a padded letter-shaped
+ * forest (tile size 8, mostly padding), each ForestBuffers vector's
+ * capacity equals its size in every layout.
+ */
+TEST(ForestBuffersCapacity, VectorsHoldNoGrowthSlack)
+{
+    data::SyntheticModelSpec spec = data::scaledDown(
+        data::benchmarkSpecByName("letter"), /*max_trees=*/64,
+        /*training_rows=*/400);
+    model::Forest forest = data::synthesizeForest(spec);
+    for (hir::MemoryLayout layout :
+         {hir::MemoryLayout::kArray, hir::MemoryLayout::kSparse,
+          hir::MemoryLayout::kPacked}) {
+        for (hir::PackedPrecision precision :
+             {hir::PackedPrecision::kF32, hir::PackedPrecision::kI16}) {
+            hir::Schedule schedule;
+            schedule.tiling = hir::TilingAlgorithm::kHybrid;
+            schedule.tileSize = 8;
+            schedule.padAndUnrollWalks = true;
+            schedule.layout = layout;
+            schedule.packedPrecision = precision;
+            hir::HirModule module(forest, schedule);
+            module.runAllHirPasses();
+            ForestBuffers fb = buildForestBuffers(module);
+            SCOPED_TRACE(layoutKindName(fb.layout));
+            auto expect_exact = [](const auto &v, const char *name) {
+                EXPECT_EQ(v.capacity(), v.size()) << name;
+            };
+            expect_exact(fb.treeClass, "treeClass");
+            expect_exact(fb.treeFirstTile, "treeFirstTile");
+            expect_exact(fb.treeTileEnd, "treeTileEnd");
+            expect_exact(fb.thresholds, "thresholds");
+            expect_exact(fb.featureIndices, "featureIndices");
+            expect_exact(fb.shapeIds, "shapeIds");
+            expect_exact(fb.defaultLeft, "defaultLeft");
+            expect_exact(fb.childBase, "childBase");
+            expect_exact(fb.leaves, "leaves");
+            expect_exact(fb.packed, "packed");
+            expect_exact(fb.quantization.scale, "quantization.scale");
+            expect_exact(fb.quantization.offset, "quantization.offset");
+            expect_exact(fb.quantization.stepBudget,
+                         "quantization.stepBudget");
+            expect_exact(fb.walkInfo, "walkInfo");
+        }
+    }
 }
 
 } // namespace
