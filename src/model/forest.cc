@@ -37,27 +37,12 @@ applyObjective(Objective objective, float margin)
       case Objective::kRegression:
         return margin;
       case Objective::kBinaryLogistic:
-        return 1.0f / (1.0f + std::exp(-margin));
+        return sigmoid(margin);
       case Objective::kMulticlassSoftmax:
         panic("multiclass margins need softmaxInPlace, not "
               "applyObjective");
     }
     panic("unknown objective");
-}
-
-void
-softmaxInPlace(float *values, int32_t count)
-{
-    float max_margin = values[0];
-    for (int32_t k = 1; k < count; ++k)
-        max_margin = std::max(max_margin, values[k]);
-    float sum = 0.0f;
-    for (int32_t k = 0; k < count; ++k) {
-        values[k] = std::exp(values[k] - max_margin);
-        sum += values[k];
-    }
-    for (int32_t k = 0; k < count; ++k)
-        values[k] /= sum;
 }
 
 const DecisionTree &

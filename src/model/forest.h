@@ -12,22 +12,9 @@
 #include <vector>
 
 #include "model/decision_tree.h"
+#include "model/objective.h"
 
 namespace treebeard::model {
-
-/** Post-aggregation transform applied to the summed tree outputs. */
-enum class Objective {
-    /** Raw sum of tree outputs plus the base score. */
-    kRegression,
-    /** Sigmoid of the sum (XGBoost binary:logistic). */
-    kBinaryLogistic,
-    /**
-     * Softmax over per-class margins (XGBoost multi:softprob). Trees
-     * are assigned to classes round-robin: tree t contributes to
-     * class t % numClasses.
-     */
-    kMulticlassSoftmax,
-};
 
 /** Parse/print helpers for Objective. */
 const char *objectiveName(Objective objective);
@@ -123,11 +110,6 @@ class Forest
     float baseScore_ = 0.0f;
     int32_t numClasses_ = 1;
 };
-
-/**
- * In-place softmax over @p count margins (numerically stabilized).
- */
-void softmaxInPlace(float *values, int32_t count);
 
 } // namespace treebeard::model
 

@@ -17,6 +17,7 @@
 #include "hir/hir_module.h"
 #include "lir/forest_buffers.h"
 #include "mir/mir.h"
+#include "runtime/forest_view.h"
 
 namespace treebeard::runtime {
 
@@ -43,14 +44,42 @@ RowQuantizationStats rowQuantizationStats();
 void noteDatasetQuantization(int64_t num_rows);
 
 /**
- * Quantize @p num_rows row-major rows into one int32 per feature under
- * @p fb's affine maps, writing num_rows * fb.numFeatures values to
- * @p out. This is the transform the i16 packed walkers consume; the
- * resident-dataset path runs it once at bind time instead of on every
- * predict call.
+ * Whether a plan's walkers route missing (NaN) values by the tiles'
+ * default-direction bits. On unless the schedule promises NaN-free
+ * inputs (assumeNoMissingValues), and always on for models that carry
+ * default directions, which must be honored. Both backends instantiate
+ * their walkers with this choice, so a NaN row routes alike on both
+ * even when it breaks the promise.
  */
-void quantizeRowsInto(const lir::ForestBuffers &fb, const float *rows,
-                      int64_t num_rows, int32_t *out);
+bool handleMissingValues(const lir::ForestBuffers &fb,
+                         const hir::Schedule &schedule);
+
+/**
+ * The walkers' view of @p fb under @p schedule. When the row-parallel
+ * sparse walker routes missing values (tile size 1), its word gathers
+ * need an int32-widened copy of the default-left bytes: it is built
+ * into @p default_left_wide, which must outlive the view (and is left
+ * empty otherwise). The bits matter even for models without default
+ * directions: padding writes load-bearing all-left bits on dummy
+ * tiles, so NaN must follow the child-0 chain.
+ */
+ForestView makeForestView(const lir::ForestBuffers &fb,
+                          const hir::Schedule &schedule,
+                          std::vector<int32_t> *default_left_wide);
+
+/** The plain group table the row loops walk. */
+std::vector<WalkGroup>
+walkGroupTable(const std::vector<hir::TreeGroup> &groups);
+
+/**
+ * Evaluate tile @p tile of @p fb against @p row at the buffers'
+ * runtime tile size, any layout (the quantized layout quantizes each
+ * gathered value on the fly, bit-identically to the pre-quantized
+ * rows). The reference path for tile sizes without a specialized
+ * kernel; @p handle_missing as in handleMissingValues.
+ */
+int32_t evalTileDynamic(const lir::ForestBuffers &fb, int64_t tile,
+                        const float *row, bool handle_missing);
 
 /** Software event counters for the microarchitectural analysis bench. */
 struct WalkCounters
@@ -107,7 +136,7 @@ class ExecutablePlan
 
     /**
      * As run(), but with a pre-quantized int32 row image (@p qrows,
-     * num_rows * numFeatures() values from quantizeRowsInto) so the
+     * num_rows * numFeatures() values from runtime::quantizeRows) so the
      * quantized packed walkers skip their per-call quantization pass.
      * Layouts that do not consume quantized rows ignore @p qrows and
      * read @p rows; callers must always pass both. @p qrows may be
@@ -128,17 +157,10 @@ class ExecutablePlan
     const mir::MirFunction &mir() const { return mir_; }
     const std::vector<hir::TreeGroup> &groups() const { return groups_; }
 
-    /**
-     * Int32-widened shadow of ForestBuffers::defaultLeft, built only
-     * for row-parallel sparse plans that route missing values: the
-     * row-parallel walker gathers default-direction bits with 4-byte
-     * word gathers, which would read past the end of the uint8 array.
-     * Null when this plan never consults it.
-     */
-    const int32_t *defaultLeftWide() const
-    {
-        return dlWide_.empty() ? nullptr : dlWide_.data();
-    }
+    /** The walkers' view of buffers(). */
+    const ForestView &view() const { return view_; }
+    /** The row loop over groups() that the schedule chose. */
+    const RowLoop &rowLoop() const { return rowLoop_; }
     int32_t numFeatures() const { return buffers_.numFeatures; }
     /** Outputs per row: 1, or the class count for multiclass models. */
     int32_t numClasses() const { return buffers_.numClasses; }
@@ -154,9 +176,6 @@ class ExecutablePlan
                                  float *);
 
   private:
-    /** Pick the specialized kernel entry for this plan's parameters. */
-    void selectRunner();
-
     /** Shared run()/runResident() row-loop dispatch. */
     void dispatchRows(const float *rows, const int32_t *qrows,
                       int64_t num_rows, float *predictions) const;
@@ -164,13 +183,13 @@ class ExecutablePlan
     lir::ForestBuffers buffers_;
     mir::MirFunction mir_;
     std::vector<hir::TreeGroup> groups_;
+    /** Widened default-left bits (see makeForestView). */
+    std::vector<int32_t> dlWide_;
+    std::vector<WalkGroup> walkGroups_;
+    ForestView view_{};
+    RowLoop rowLoop_{};
     RangeRunner runner_ = nullptr;
     std::unique_ptr<ThreadPool> pool_;
-    /** See defaultLeftWide(). */
-    std::vector<int32_t> dlWide_;
-
-    template <int NT, lir::LayoutKind L, int K, bool HM>
-    friend struct PlanKernels;
 };
 
 } // namespace treebeard::runtime

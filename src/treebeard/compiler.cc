@@ -6,6 +6,7 @@
 #include "lir/layout_builder.h"
 #include "mir/lowering.h"
 #include "mir/passes.h"
+#include "runtime/row_loops.h"
 
 namespace treebeard {
 
@@ -124,16 +125,17 @@ Session::rebindDataset(Dataset &dataset, const float *rows,
     dataset.numFeatures_ = numFeatures();
     const lir::ForestBuffers &fb =
         plan_ ? plan_->buffers() : jit_->buffers();
+    const runtime::ForestView &view = plan_ ? plan_->view() : jit_->view();
     if (fb.layout == lir::LayoutKind::kPackedQuantized &&
         num_rows > 0) {
         // The quantize-once pass: predictDataset then consumes this
         // image with no per-call quantization on either backend (the
-        // emitted source inlines the identical quantizer, so the
+        // generated code compiles the same lir::quantizeValue, so the
         // kernel-built image is bit-exact for the JIT too).
         dataset.qimage_.resize(static_cast<size_t>(num_rows) *
                                fb.numFeatures);
-        runtime::quantizeRowsInto(fb, rows, num_rows,
-                                  dataset.qimage_.data());
+        runtime::quantizeRows(view, rows, num_rows,
+                              dataset.qimage_.data());
         runtime::noteDatasetQuantization(num_rows);
     } else {
         dataset.qimage_.clear();

@@ -247,8 +247,8 @@ TEST(RowParallel, ResidentDatasetMatchesPredict)
 }
 
 /**
- * The emitted row-parallel TU really carries the lane-group walker:
- * masked leaf gathers behind a divergence mask, with a scalar
+ * The emitted row-parallel TU really instantiates the lane-group
+ * kernels: masked leaf gathers behind a divergence mask, with a scalar
  * fallback branch for hosts without AVX2.
  */
 TEST(RowParallel, GeneratedSourceCarriesLaneGroupWalker)
@@ -263,7 +263,9 @@ TEST(RowParallel, GeneratedSourceCarriesLaneGroupWalker)
     Session session = compile(forest, schedule, options);
 
     const std::string &source = session.artifacts().generatedSource;
-    EXPECT_NE(source.find("_rows8"), std::string::npos);
+    EXPECT_NE(source.find("runtime::RowParallelKernels<1, "
+                          "lir::LayoutKind::kSparse"),
+              std::string::npos);
     EXPECT_NE(source.find("_mm256_mask_i32gather_ps"),
               std::string::npos);
     EXPECT_NE(source.find("__AVX2__"), std::string::npos);

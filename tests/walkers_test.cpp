@@ -11,6 +11,7 @@
 #include <gtest/gtest.h>
 
 #include "lir/layout_builder.h"
+#include "runtime/plan.h"
 #include "runtime/walkers.h"
 #include "test_utils.h"
 
@@ -21,6 +22,7 @@ struct WalkerFixtureState
 {
     model::Forest forest{1};
     std::unique_ptr<hir::HirModule> module;
+    hir::Schedule schedule;
     lir::ForestBuffers sparse;
     lir::ForestBuffers array;
     std::vector<float> rows;
@@ -43,6 +45,7 @@ makeState(int32_t tile_size, bool unroll, uint64_t seed)
     state.module =
         std::make_unique<hir::HirModule>(state.forest, schedule);
     state.module->runAllHirPasses();
+    state.schedule = schedule;
     state.sparse = lir::buildSparseLayout(*state.module);
     state.array = lir::buildArrayLayout(*state.module);
 
@@ -50,6 +53,14 @@ makeState(int32_t tile_size, bool unroll, uint64_t seed)
     state.rows = testing::makeRandomRows(spec.numFeatures,
                                          state.numRows, seed + 1);
     return state;
+}
+
+/** The walkers' view of @p fb. */
+ForestView
+viewOf(const WalkerFixtureState &state, const lir::ForestBuffers &fb)
+{
+    std::vector<int32_t> unused_wide;
+    return makeForestView(fb, state.schedule, &unused_wide);
 }
 
 /** Reference per-(tree, row) leaf values via the tiled trees. */
@@ -68,8 +79,8 @@ checkAllWalkers(const WalkerFixtureState &state)
 {
     const lir::ForestBuffers &sparse = state.sparse;
     const lir::ForestBuffers &array = state.array;
-    const int8_t *lut = sparse.shapes->lutData();
-    int32_t stride = sparse.shapes->lutStride();
+    ForestView sparse_view = viewOf(state, sparse);
+    ForestView array_view = viewOf(state, array);
     int32_t nf = state.forest.numFeatures();
 
     for (int64_t pos = 0; pos < sparse.numTrees; ++pos) {
@@ -84,28 +95,24 @@ checkAllWalkers(const WalkerFixtureState &state)
             const float *row = state.rows.data() + r * nf;
             float expected = referenceTreeValue(state, pos, row);
 
-            EXPECT_EQ((walkSparse<NT, true>(sparse, lut, stride, sparse_root,
+            EXPECT_EQ((walkSparse<NT, true>(sparse_view, sparse_root,
                                      row)),
                       expected);
-            EXPECT_EQ((walkArray<NT, true>(array, lut, stride, array_base,
+            EXPECT_EQ((walkArray<NT, true>(array_view, array_base,
                                     row)),
                       expected);
             if (info.unrolled) {
-                EXPECT_EQ((walkSparseUnrolled<NT, true>(sparse, lut, stride,
-                                                 sparse_root, row,
+                EXPECT_EQ((walkSparseUnrolled<NT, true>(sparse_view, sparse_root, row,
                                                  info.unrolledDepth)),
                           expected);
-                EXPECT_EQ((walkArrayUnrolled<NT, true>(array, lut, stride,
-                                                array_base, row,
+                EXPECT_EQ((walkArrayUnrolled<NT, true>(array_view, array_base, row,
                                                 info.unrolledDepth)),
                           expected);
             } else {
-                EXPECT_EQ((walkSparsePeeled<NT, true>(sparse, lut, stride,
-                                               sparse_root, row,
+                EXPECT_EQ((walkSparsePeeled<NT, true>(sparse_view, sparse_root, row,
                                                info.peelDepth)),
                           expected);
-                EXPECT_EQ((walkArrayPeeled<NT, true>(array, lut, stride,
-                                              array_base, row,
+                EXPECT_EQ((walkArrayPeeled<NT, true>(array_view, array_base, row,
                                               info.peelDepth)),
                           expected);
             }
@@ -127,23 +134,23 @@ checkAllWalkers(const WalkerFixtureState &state)
             float out[K];
             if (info.unrolled) {
                 walkSparseUnrolledInterleaved<NT, true, K>(
-                    sparse, lut, stride, sparse_roots, row_ptrs,
+                    sparse_view, sparse_roots, row_ptrs,
                     info.unrolledDepth, out);
                 for (int k = 0; k < K; ++k)
                     EXPECT_EQ(out[k], expected[k]);
                 walkArrayUnrolledInterleaved<NT, true, K>(
-                    array, lut, stride, array_bases, row_ptrs,
+                    array_view, array_bases, row_ptrs,
                     info.unrolledDepth, out);
                 for (int k = 0; k < K; ++k)
                     EXPECT_EQ(out[k], expected[k]);
             } else {
                 walkSparseGenericInterleaved<NT, true, K>(
-                    sparse, lut, stride, sparse_roots, row_ptrs,
+                    sparse_view, sparse_roots, row_ptrs,
                     info.peelDepth, out);
                 for (int k = 0; k < K; ++k)
                     EXPECT_EQ(out[k], expected[k]);
                 walkArrayGenericInterleaved<NT, true, K>(
-                    array, lut, stride, array_bases, row_ptrs,
+                    array_view, array_bases, row_ptrs,
                     info.peelDepth, out);
                 for (int k = 0; k < K; ++k)
                     EXPECT_EQ(out[k], expected[k]);
@@ -191,12 +198,11 @@ TEST(Walkers, NanInputsStayMemorySafe)
     std::vector<float> nan_row(
         static_cast<size_t>(state.forest.numFeatures()),
         std::numeric_limits<float>::quiet_NaN());
-    const int8_t *lut = state.sparse.shapes->lutData();
-    int32_t stride = state.sparse.shapes->lutStride();
+    ForestView view = viewOf(state, state.sparse);
     for (int64_t pos = 0; pos < state.sparse.numTrees; ++pos) {
         int64_t root =
             state.sparse.treeFirstTile[static_cast<size_t>(pos)];
-        float value = walkSparse<8, true>(state.sparse, lut, stride, root,
+        float value = walkSparse<8, true>(view, root,
                                     nan_row.data());
         EXPECT_TRUE(std::isfinite(value) || std::isnan(value));
     }
@@ -205,15 +211,13 @@ TEST(Walkers, NanInputsStayMemorySafe)
 TEST(Walkers, EvalTileAgreesWithDynamicPath)
 {
     WalkerFixtureState state = makeState(8, false, 508);
-    const int8_t *lut = state.sparse.shapes->lutData();
-    int32_t stride = state.sparse.shapes->lutStride();
+    ForestView view = viewOf(state, state.sparse);
     for (int64_t tile = 0; tile < state.sparse.numTiles(); ++tile) {
         for (int64_t r = 0; r < 8; ++r) {
             const float *row = state.rows.data() +
                                r * state.forest.numFeatures();
-            EXPECT_EQ((evalTile<8, false>(state.sparse, lut, stride,
-                                          tile, row)),
-                      evalTileDynamic(state.sparse, tile, row))
+            EXPECT_EQ((evalTile<8, false>(view, tile, row)),
+                      evalTileDynamic(state.sparse, tile, row, false))
                 << "tile " << tile << " row " << r;
         }
     }
