@@ -166,9 +166,10 @@ struct Schedule
      * per-node default directions use slightly faster kernels that
      * skip missing-value routing (the paper's setting — it does not
      * consider missing values at all). With NaN inputs under this
-     * flag, predictions are unspecified but memory-safe. Ignored
-     * (missing-value handling stays on) when the model carries
-     * default directions.
+     * flag, predictions are unspecified; on the f32 layouts a NaN
+     * takes the left child at every node, so walks stay in bounds
+     * (runtime::goesLeft). Ignored (missing-value handling stays on)
+     * when the model carries default directions.
      */
     bool assumeNoMissingValues = false;
 
