@@ -77,7 +77,7 @@ emitPredictForestSource(const ForestBuffers &fb,
        << ", "
        << boolLiteral(schedule.loopOrder ==
                       hir::LoopOrder::kOneTreeAtATime)
-       << ", " << boolLiteral(schedule.pipelinePackedWalks) << "};\n\n";
+       << "};\n\n";
 
     // The range core every entry point funnels into.
     os << "void predictRange(const ForestView &v, const Row *rows,\n"
@@ -200,13 +200,16 @@ withHostSimdFlags(JitOptions options)
 JitCompiledSession::JitCompiledSession(lir::ForestBuffers buffers,
                                        std::vector<TreeGroup> groups,
                                        const hir::Schedule &schedule,
-                                       const JitOptions &jit_options)
+                                       const JitOptions &jit_options,
+                                       std::string *emitted_source)
     : buffers_(std::move(buffers))
 {
     view_ = runtime::makeForestView(buffers_, schedule, &dlWide_);
-    source_ = emitPredictForestSource(buffers_, groups, schedule);
-    module_ = std::make_unique<JitModule>(source_,
+    std::string source = emitPredictForestSource(buffers_, groups, schedule);
+    module_ = std::make_unique<JitModule>(source,
                                           withHostSimdFlags(jit_options));
+    if (emitted_source != nullptr)
+        *emitted_source = std::move(source);
     predict_ = module_->function<PredictFn>("treebeard_predict");
     predictWorker_ =
         module_->function<PredictWorkerFn>("treebeard_predict_worker");

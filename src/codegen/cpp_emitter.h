@@ -76,12 +76,15 @@ class JitCompiledSession
      * Emit, compile and bind. The instance itself runs rows serially;
      * threading callers drive predictWorker() from their own pool
      * (one call per worker id), which executes the parallel row loop
-     * emitted into the translation unit.
+     * emitted into the translation unit. The session keeps no copy of
+     * the emitted source: it is moved into @p emitted_source when that
+     * is non-null, and dropped otherwise.
      */
     JitCompiledSession(lir::ForestBuffers buffers,
                        std::vector<hir::TreeGroup> groups,
                        const hir::Schedule &schedule,
-                       const JitOptions &jit_options = {});
+                       const JitOptions &jit_options = {},
+                       std::string *emitted_source = nullptr);
 
     /**
      * The generated predictForest: @p predictions receives
@@ -123,7 +126,6 @@ class JitCompiledSession
     /** The view every entry point reads the model through. */
     const runtime::ForestView &view() const { return view_; }
     double compileSeconds() const { return module_->compileSeconds(); }
-    const std::string &source() const { return source_; }
 
   private:
     using View = runtime::ForestView;
@@ -141,7 +143,6 @@ class JitCompiledSession
     /** Widened default-left bits (see runtime::makeForestView). */
     std::vector<int32_t> dlWide_;
     runtime::ForestView view_{};
-    std::string source_;
     std::unique_ptr<JitModule> module_;
     PredictFn predict_ = nullptr;
     PredictWorkerFn predictWorker_ = nullptr;

@@ -143,8 +143,6 @@ scheduleToJsonString(const Schedule &schedule)
         JsonValue(packedPrecisionName(schedule.packedPrecision));
     object["traversal"] =
         JsonValue(traversalKindName(schedule.traversal));
-    object["pipeline_packed"] =
-        JsonValue(schedule.pipelinePackedWalks);
     object["threads"] =
         JsonValue(static_cast<int64_t>(schedule.numThreads));
     object["row_chunk_rows"] =
@@ -197,9 +195,6 @@ scheduleFromJsonString(const std::string &text)
                 "i16"
             ? PackedPrecision::kI16
             : PackedPrecision::kF32;
-    JsonValue default_true(true);
-    schedule.pipelinePackedWalks =
-        document.getOr("pipeline_packed", default_true).asBoolean();
     JsonValue default_zero(static_cast<int64_t>(0));
     schedule.rowChunkRows = static_cast<int32_t>(
         document.getOr("row_chunk_rows", default_zero).asInt());
@@ -237,7 +232,6 @@ Schedule::toString() const
        << (packedPrecision == PackedPrecision::kI16 ? " +i16" : "")
        << (traversal == TraversalKind::kRowParallel ? " +row-parallel"
                                                     : "")
-       << (pipelinePackedWalks ? "" : " -pipeline")
        << (padAndUnrollWalks ? " +unroll" : "")
        << (peelWalks ? " +peel" : "")
        << (assumeNoMissingValues ? " +no-nan" : "")

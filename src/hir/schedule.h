@@ -143,12 +143,6 @@ struct Schedule
     PackedPrecision packedPrecision = PackedPrecision::kF32;
     /** SIMD traversal shape (see TraversalKind). */
     TraversalKind traversal = TraversalKind::kNodeParallel;
-    /**
-     * Software-pipeline the packed interleaved walkers: load tile
-     * k+1's child base while evaluating tile k, instead of relying on
-     * prefetch hints. Off is useful for A/B benchmarking only.
-     */
-    bool pipelinePackedWalks = true;
     /** Worker threads for the parallelized row loop (1 = serial). */
     int32_t numThreads = 1;
     /**

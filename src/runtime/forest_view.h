@@ -78,8 +78,6 @@ struct RowLoop
     int32_t numGroups;
     /** LoopOrder::kOneTreeAtATime; otherwise one row at a time. */
     bool oneTreeAtATime;
-    /** Schedule::pipelinePackedWalks. */
-    bool pipelinePackedWalks;
 };
 
 } // namespace treebeard::runtime

@@ -2,12 +2,10 @@
 
 #include <atomic>
 #include <cmath>
-#include <type_traits>
 #include <vector>
 
 #include "common/bits.h"
-#include "common/logging.h"
-#include "runtime/row_loops.h"
+#include "runtime/plan_kernels.h"
 
 namespace treebeard::runtime {
 
@@ -94,119 +92,9 @@ walkGroupTable(const std::vector<hir::TreeGroup> &groups)
     return table;
 }
 
-int32_t
-evalTileDynamic(const lir::ForestBuffers &fb, int64_t tile,
-                const float *row, bool handle_missing)
-{
-    int32_t nt = fb.tileSize;
-    lir::ForestBuffers::TileFields fields = fb.tileFields(tile);
-    uint32_t default_left = handle_missing ? fields.defaultLeft : 0;
-    bool quantized = fb.layout == lir::LayoutKind::kPackedQuantized;
-    uint32_t outcome = 0;
-    for (int32_t s = 0; s < nt; ++s) {
-        int32_t feature = fields.feature(s);
-        uint32_t lt = 0;
-        uint32_t missing = 0;
-        if (quantized) {
-            int32_t value =
-                fb.quantization.quantizeValue(row[feature], feature);
-            lt = static_cast<uint32_t>(
-                value < static_cast<int32_t>(fields.qthresholds[s]));
-            missing = static_cast<uint32_t>(
-                value == static_cast<int32_t>(lir::kQuantizedNaN));
-        } else {
-            float value = row[feature];
-            lt = static_cast<uint32_t>(
-                handle_missing ? goesLeft<true>(value, fields.thresholds[s])
-                               : goesLeft<false>(value,
-                                                 fields.thresholds[s]));
-            missing = static_cast<uint32_t>(value != value);
-        }
-        outcome |= (lt | (missing & ((default_left >> s) & 1u))) << s;
-    }
-    return fb.shapes->child(fields.shapeId, outcome);
-}
-
-namespace {
-
-using hir::TreeGroup;
-using lir::ForestBuffers;
-using lir::LayoutKind;
-
-/**
- * Generic dynamic-tile-size walk of tree @p pos (any layout). Used for
- * tile sizes without a specialized kernel.
- */
-template <bool HM>
-float
-walkDynamic(const ForestBuffers &fb, int64_t pos, const float *row)
-{
-    int64_t base = fb.treeFirstTile[static_cast<size_t>(pos)];
-    if (fb.layout != LayoutKind::kArray) {
-        // Sparse and packed share the child-base chaining scheme.
-        int64_t tile = base;
-        while (true) {
-            int32_t child = evalTileDynamic(fb, tile, row, HM);
-            int32_t child_base = fb.tileFields(tile).childBase;
-            if (child_base < 0)
-                return fb.leaves[static_cast<size_t>(-(child_base + 1) +
-                                                     child)];
-            tile = child_base + child;
-        }
-    }
-    int64_t arity = fb.tileSize + 1;
-    int64_t local = 0;
-    while (true) {
-        int64_t tile = base + local;
-        if (fb.shapeIds[static_cast<size_t>(tile)] ==
-            lir::kLeafTileMarker) {
-            return fb.thresholds[static_cast<size_t>(tile) *
-                                 fb.tileSize];
-        }
-        int32_t child = evalTileDynamic(fb, tile, row, HM);
-        local = arity * local + child + 1;
-    }
-}
-
-template <bool HM>
-void
-runRangeDynamic(const ExecutablePlan &plan, const float *rows,
-                const int32_t *qrows, int64_t begin, int64_t end,
-                float *predictions)
-{
-    // The dynamic walker quantizes per compare inside evalTileDynamic
-    // (same quantizer, still bit-exact), so a resident image brings it
-    // nothing.
-    (void)qrows;
-    const ForestBuffers &fb = plan.buffers();
-    int32_t nf = fb.numFeatures;
-    int32_t classes = fb.numClasses;
-    std::vector<float> margins(static_cast<size_t>(classes));
-    for (int64_t r = begin; r < end; ++r) {
-        const float *row = rows + r * nf;
-        std::fill(margins.begin(), margins.end(), fb.baseScore);
-        for (int64_t pos = 0; pos < fb.numTrees; ++pos) {
-            margins[static_cast<size_t>(
-                fb.treeClass[static_cast<size_t>(pos)])] +=
-                walkDynamic<HM>(fb, pos, row);
-        }
-        finishRow(plan.view(), margins.data(), predictions + r * classes);
-    }
-}
-
-/**
- * Quantize rows [begin, end) into one int32 per feature under the
- * model's affine maps ("quantize the row's gathered features once"):
- * every tile compare in the walk then runs entirely in int16, and a
- * feature read R times costs one quantization, not R. The image lives
- * in a per-worker thread_local scratch buffer that only ever grows, so
- * chunked parallel row loops stop paying one heap allocation per
- * chunk; the returned pointer stays valid until this worker's next
- * chunk.
- */
 const int32_t *
-quantizeRowsScratch(const ForestView &view, const float *rows,
-                    int64_t begin, int64_t end)
+detail::quantizeRowsScratch(const ForestView &view, const float *rows,
+                            int64_t begin, int64_t end)
 {
     static thread_local std::vector<int32_t> scratch;
     size_t needed =
@@ -220,92 +108,30 @@ quantizeRowsScratch(const ForestView &view, const float *rows,
     return scratch.data();
 }
 
+namespace {
+
+using hir::TreeGroup;
+using lir::ForestBuffers;
+using lir::LayoutKind;
+
 /**
- * Run rows [begin, end) through one row-loop kernel bundle
- * (row_loops.h). The quantized packed layout walks the resident image
- * when the caller bound one and a per-worker quantization pass
- * otherwise.
+ * The range runner for @p fb's tile size. Tile sizes 1-4 are
+ * instantiated here, 5-8 in plan_kernels_5_8.cc.
  */
-template <class Kernels>
-void
-runKernelRange(const ExecutablePlan &plan, const float *rows,
-               const int32_t *qrows, int64_t begin, int64_t end,
-               float *predictions)
-{
-    const ForestView &view = plan.view();
-    int64_t nf = view.numFeatures;
-    const typename Kernels::Row *range_rows;
-    if constexpr (std::is_same_v<typename Kernels::Row, int32_t>) {
-        range_rows = qrows != nullptr
-                         ? qrows + begin * nf
-                         : quantizeRowsScratch(view, rows, begin, end);
-    } else {
-        (void)qrows;
-        range_rows = rows + begin * nf;
-    }
-    std::vector<float> scratch(
-        static_cast<size_t>(rangeScratchFloats(view, end - begin)));
-    Kernels::runRange(view, plan.rowLoop(), range_rows, end - begin,
-                      predictions + begin * view.numClasses,
-                      scratch.data());
-}
-
-template <int NT, lir::LayoutKind L, bool HM>
-ExecutablePlan::RangeRunner
-selectByInterleave(int32_t factor)
-{
-    switch (factor) {
-      case 1: return &runKernelRange<PlanKernels<NT, L, 1, HM>>;
-      case 2: return &runKernelRange<PlanKernels<NT, L, 2, HM>>;
-      case 4: return &runKernelRange<PlanKernels<NT, L, 4, HM>>;
-      case 8: return &runKernelRange<PlanKernels<NT, L, 8, HM>>;
-      default: fatal("unsupported interleave factor ", factor);
-    }
-}
-
-template <int NT, lir::LayoutKind L, bool HM>
-ExecutablePlan::RangeRunner
-selectKernels(bool row_parallel, int32_t factor)
-{
-    if (row_parallel)
-        return &runKernelRange<RowParallelKernels<NT, L, HM>>;
-    return selectByInterleave<NT, L, HM>(factor);
-}
-
-template <int NT, bool HM>
-ExecutablePlan::RangeRunner
-selectByLayout(LayoutKind layout, bool row_parallel, int32_t factor)
-{
-    switch (layout) {
-      case LayoutKind::kSparse:
-        return selectKernels<NT, LayoutKind::kSparse, HM>(row_parallel,
-                                                          factor);
-      case LayoutKind::kPacked:
-        return selectKernels<NT, LayoutKind::kPacked, HM>(row_parallel,
-                                                          factor);
-      case LayoutKind::kPackedQuantized:
-        return selectKernels<NT, LayoutKind::kPackedQuantized, HM>(
-            row_parallel, factor);
-      case LayoutKind::kArray:
-        return selectKernels<NT, LayoutKind::kArray, HM>(row_parallel,
-                                                         factor);
-    }
-    panic("unknown layout kind");
-}
-
 template <bool HM>
 ExecutablePlan::RangeRunner
 selectByTileSize(const ForestBuffers &fb, bool row_parallel,
                  int32_t factor)
 {
+    using detail::selectByLayout;
     switch (fb.tileSize) {
       case 1: return selectByLayout<1, HM>(fb.layout, row_parallel, factor);
       case 2: return selectByLayout<2, HM>(fb.layout, row_parallel, factor);
+      case 3: return selectByLayout<3, HM>(fb.layout, row_parallel, factor);
       case 4: return selectByLayout<4, HM>(fb.layout, row_parallel, factor);
-      case 8: return selectByLayout<8, HM>(fb.layout, row_parallel, factor);
       default:
-        // Other tile sizes run through the dynamic path.
-        return &runRangeDynamic<HM>;
+        return detail::selectTileSize5To8(fb.tileSize, fb.layout,
+                                          row_parallel, factor, HM);
     }
 }
 
@@ -322,8 +148,7 @@ ExecutablePlan::ExecutablePlan(lir::ForestBuffers buffers,
     view_ = makeForestView(buffers_, schedule, &dlWide_);
     walkGroups_ = walkGroupTable(groups_);
     rowLoop_ = {walkGroups_.data(), static_cast<int32_t>(walkGroups_.size()),
-                schedule.loopOrder == hir::LoopOrder::kOneTreeAtATime,
-                schedule.pipelinePackedWalks};
+                schedule.loopOrder == hir::LoopOrder::kOneTreeAtATime};
     bool row_parallel =
         schedule.traversal == hir::TraversalKind::kRowParallel;
     runner_ = handleMissingValues(buffers_, schedule)

@@ -71,16 +71,6 @@ ForestView makeForestView(const lir::ForestBuffers &fb,
 std::vector<WalkGroup>
 walkGroupTable(const std::vector<hir::TreeGroup> &groups);
 
-/**
- * Evaluate tile @p tile of @p fb against @p row at the buffers'
- * runtime tile size, any layout (the quantized layout quantizes each
- * gathered value on the fly, bit-identically to the pre-quantized
- * rows). The reference path for tile sizes without a specialized
- * kernel; @p handle_missing as in handleMissingValues.
- */
-int32_t evalTileDynamic(const lir::ForestBuffers &fb, int64_t tile,
-                        const float *row, bool handle_missing);
-
 /** Software event counters for the microarchitectural analysis bench. */
 struct WalkCounters
 {

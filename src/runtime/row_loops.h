@@ -3,11 +3,13 @@
  * Row loops over a ForestView: the range drivers that add every tree's
  * leaf into each row's margins and finish the rows, in the loop order
  * and interleave the schedule chose (Section IV-A). One set of
- * templates serves both backends. The kernel runtime instantiates them
- * ahead of time for every (tile size, layout, interleave, missing-value
- * handling) it dispatches to; the source JIT compiles a translation
- * unit that instantiates them for one plan, with the plan's constants
- * known to the compiler.
+ * templates serves every schedule on both backends. The kernel runtime
+ * instantiates them ahead of time for every (tile size 1-8, layout,
+ * interleave, traversal, missing-value handling) it dispatches to; the
+ * source JIT compiles a translation unit that instantiates them for
+ * one plan, with the plan's constants known to the compiler. Rows or
+ * trees left over after the last full group of K run through the
+ * same walkers at K = 1.
  *
  * The drivers allocate nothing: the caller supplies
  * rangeScratchFloats() floats of accumulator scratch, and rows for the
@@ -98,71 +100,18 @@ struct PlanKernels
     /** Element type of the rows the walkers consume. */
     using Row = typename RecordPolicy::Row;
 
-    static float
-    walkOne(const ForestView &v, int64_t root, const Row *row,
-            const WalkGroup &group)
-    {
-        if constexpr (lir::isPackedKind(L)) {
-            if (group.unrolled) {
-                return walkRecordsUnrolled<RecordPolicy>(
-                    v, root, row, group.walkDepth);
-            }
-            if (group.peelDepth > 1) {
-                return walkRecordsPeeled<RecordPolicy>(v, root, row,
-                                                       group.peelDepth);
-            }
-            return walkRecords<RecordPolicy>(v, root, row);
-        } else if constexpr (L == lir::LayoutKind::kSparse) {
-            if (group.unrolled) {
-                return walkSparseUnrolled<NT, HM>(v, root, row,
-                                                  group.walkDepth);
-            }
-            if (group.peelDepth > 1) {
-                return walkSparsePeeled<NT, HM>(v, root, row,
-                                                group.peelDepth);
-            }
-            return walkSparse<NT, HM>(v, root, row);
-        } else {
-            if (group.unrolled) {
-                return walkArrayUnrolled<NT, HM>(v, root, row,
-                                                 group.walkDepth);
-            }
-            if (group.peelDepth > 0) {
-                return walkArrayPeeled<NT, HM>(v, root, row,
-                                               group.peelDepth);
-            }
-            return walkArray<NT, HM>(v, root, row);
-        }
-    }
-
     /** K walks in lockstep: (roots[k], rows[k]) -> out[k]. */
     static void
     walkMany(const ForestView &v, const int64_t *roots,
-             const Row *const *rows, const WalkGroup &group,
-             bool pipeline, float *out)
+             const Row *const *rows, const WalkGroup &group, float *out)
     {
         if constexpr (lir::isPackedKind(L)) {
-            // The pipeline toggle is a runtime branch (not a template
-            // parameter) to keep the kernel instantiation count flat;
-            // it is loop-invariant, so the predictor resolves it free.
             if (group.unrolled) {
-                if (pipeline) {
-                    walkRecordsUnrolledInterleavedPipelined<
-                        RecordPolicy, K>(v, roots, rows, group.walkDepth,
-                                         out);
-                } else {
-                    walkRecordsUnrolledInterleaved<RecordPolicy, K>(
-                        v, roots, rows, group.walkDepth, out);
-                }
+                walkRecordsUnrolledInterleavedPipelined<RecordPolicy, K>(
+                    v, roots, rows, group.walkDepth, out);
             } else {
-                if (pipeline) {
-                    walkRecordsGenericInterleavedPipelined<
-                        RecordPolicy, K>(v, roots, rows, group.peelDepth,
-                                         out);
-                } else {
-                    walkRecordsGenericInterleaved<RecordPolicy, K>(
-                        v, roots, rows, group.peelDepth, out);
-                }
+                walkRecordsGenericInterleavedPipelined<RecordPolicy, K>(
+                    v, roots, rows, group.peelDepth, out);
             }
         } else if constexpr (L == lir::LayoutKind::kSparse) {
             if (group.unrolled) {
@@ -181,6 +130,16 @@ struct PlanKernels
                     v, roots, rows, group.peelDepth, out);
             }
         }
+    }
+
+    /** One walk: the K = 1 instantiation of walkMany. */
+    static float
+    walkOne(const ForestView &v, int64_t root, const Row *row,
+            const WalkGroup &group)
+    {
+        float out = 0.0f;
+        PlanKernels<NT, L, 1, HM>::walkMany(v, &root, &row, group, &out);
+        return out;
     }
 
     /**
@@ -219,9 +178,8 @@ struct PlanKernels
                             const Row *row_ptrs[K];
                             for (int k = 0; k < K; ++k)
                                 row_ptrs[k] = rows + (r + k) * nf;
-                            float out[K];
-                            walkMany(v, roots, row_ptrs, group,
-                                     loop.pipelinePackedWalks, out);
+                            float out[K] = {};
+                            walkMany(v, roots, row_ptrs, group, out);
                             for (int k = 0; k < K; ++k)
                                 acc[(r + k - block) * classes] += out[k];
                         }
@@ -256,9 +214,8 @@ struct PlanKernels
                         roots[k] = v.treeFirstTile[pos + k];
                         row_ptrs[k] = row;
                     }
-                    float out[K];
-                    walkMany(v, roots, row_ptrs, group,
-                             loop.pipelinePackedWalks, out);
+                    float out[K] = {};
+                    walkMany(v, roots, row_ptrs, group, out);
                     for (int k = 0; k < K; ++k)
                         margins[v.treeClass[pos + k]] += out[k];
                 }
@@ -322,11 +279,10 @@ struct RowParallelKernels
     template <int G>
     static void
     walkLanes(const ForestView &v, int64_t root, const Row *rows,
-              const WalkGroup &group, bool pipeline, float *out)
+              const WalkGroup &group, float *out)
     {
 #if TREEBEARD_HAS_AVX2
         if constexpr (kVectorized) {
-            (void)pipeline;
             int32_t unchecked = uncheckedSteps(group);
             if constexpr (L == lir::LayoutKind::kSparse) {
                 walkSparseRowsWide<HM, G>(v, root, rows, v.numFeatures,
@@ -350,7 +306,7 @@ struct RowParallelKernels
                     rows + (g * kRowParallelWidth + k) *
                                static_cast<int64_t>(v.numFeatures);
             }
-            Base::walkMany(v, roots, row_ptrs, group, pipeline,
+            Base::walkMany(v, roots, row_ptrs, group,
                            out + g * kRowParallelWidth);
         }
     }
@@ -380,19 +336,17 @@ struct RowParallelKernels
                     if constexpr (kVectorized) {
                         for (; r + kWideRows <= block_end;
                              r += kWideRows) {
-                            float out[kWideRows];
-                            walkLanes<kWideGroups>(
-                                v, root, rows + r * nf, group,
-                                loop.pipelinePackedWalks, out);
+                            float out[kWideRows] = {};
+                            walkLanes<kWideGroups>(v, root, rows + r * nf,
+                                                   group, out);
                             for (int k = 0; k < kWideRows; ++k)
                                 acc[(r + k - block) * classes] += out[k];
                         }
                     }
                     for (; r + kRowParallelWidth <= block_end;
                          r += kRowParallelWidth) {
-                        float out[kRowParallelWidth];
-                        walkLanes<1>(v, root, rows + r * nf, group,
-                                     loop.pipelinePackedWalks, out);
+                        float out[kRowParallelWidth] = {};
+                        walkLanes<1>(v, root, rows + r * nf, group, out);
                         for (int k = 0; k < kRowParallelWidth; ++k)
                             acc[(r + k - block) * classes] += out[k];
                     }

@@ -56,11 +56,11 @@ constexpr int kGoLeftPredicate =
  * Evaluate the predicates of the tile at global index @p tile against
  * @p row and return the LUT child index.
  *
- * @tparam NT the compile-time tile size (1, 2, 4 or 8).
+ * @tparam NT the compile-time tile size (1 to 8).
  * @tparam HandleMissing when true, NaN feature values follow the
  *         tile's default-direction bits (plans select it with
- *         handleMissingValues()). When false, NaN lanes simply compare
- *         false (route right), with no extra work.
+ *         handleMissingValues()). When false, NaN lanes take the left
+ *         child (goesLeft), with no extra work.
  */
 template <int NT, bool HandleMissing>
 inline int32_t

@@ -1,21 +1,21 @@
 /**
  * @file
- * Tree-walk kernels over a ForestView. Each function is the
- * runtime realization of one lowered WalkDecisionTree configuration:
+ * Tree-walk kernels over a ForestView. Each function is the runtime
+ * realization of one lowered WalkDecisionTree configuration, walking
+ * K independent (root, row) pairs in lockstep so the processor can
+ * overlap their dependency chains (interleaving, Section IV-A):
  *
- *  - generic:   `while (!isLeaf(tile)) { evaluate; move; }`
- *  - peeled:    a checked-free prologue of known-safe steps followed
- *               by the generic loop (Section IV-B);
+ *  - generic:   `while (!isLeaf(tile)) { evaluate; move; }` per lane,
+ *               after an optional check-free prologue of known-safe
+ *               steps (peeling, Section IV-B);
  *  - unrolled:  exactly `depth` traverseTile steps with no termination
- *               checks, valid for padded balanced trees (Figure 2 F);
- *  - interleaved<K>: K independent walks advanced in lockstep so the
- *               processor can overlap their dependency chains
- *               (Section IV-A).
+ *               checks, valid for padded balanced trees (Figure 2 F).
  *
- * Everything is templated on the tile size NT so each configuration
- * compiles to straight-line specialized code. The kernel runtime
- * instantiates these templates ahead of time for tile sizes 1, 2, 4
- * and 8; the source JIT instantiates them for one plan at a time.
+ * K = 1 is the single walk. Everything is templated on the tile size
+ * NT so each configuration compiles to straight-line specialized code.
+ * The kernel runtime instantiates these templates ahead of time for
+ * tile sizes 1 through 8; the source JIT instantiates them for one
+ * plan at a time.
  */
 #ifndef TREEBEARD_RUNTIME_WALKERS_H
 #define TREEBEARD_RUNTIME_WALKERS_H
@@ -27,255 +27,14 @@
 namespace treebeard::runtime {
 
 // ---------------------------------------------------------------------
+// Every walker takes K roots and K row pointers and writes the K leaf
+// values to `out[0..K)`. The same primitives serve row interleaving
+// (same tree, K rows) and tree interleaving (K trees, same row).
+// ---------------------------------------------------------------------
+
+// ---------------------------------------------------------------------
 // Sparse layout (Section V-B2). Termination: childBase < 0 means the
 // children are leaves in the leaf pool.
-// ---------------------------------------------------------------------
-
-/** Generic sparse walk of the tree rooted at global tile @p root. */
-template <int NT, bool HM>
-inline float
-walkSparse(const ForestView &v, int64_t root, const float *row)
-{
-    int64_t tile = root;
-    while (true) {
-        int32_t child = evalTile<NT, HM>(v, tile, row);
-        int32_t base = v.childBase[tile];
-        if (base < 0)
-            return v.leaves[-(base + 1) + child];
-        tile = base + child;
-    }
-}
-
-/**
- * Peeled sparse walk: the first peel-1 steps run with no termination
- * test (safe because every root-to-leaf path crosses at least @p peel
- * internal tiles).
- */
-template <int NT, bool HM>
-inline float
-walkSparsePeeled(const ForestView &v, int64_t root, const float *row,
-                 int32_t peel)
-{
-    int64_t tile = root;
-    for (int32_t d = 0; d + 1 < peel; ++d) {
-        int32_t child = evalTile<NT, HM>(v, tile, row);
-        tile = v.childBase[tile] + child;
-    }
-    return walkSparse<NT, HM>(v, tile, row);
-}
-
-/** Fully unrolled sparse walk: exactly @p depth tile evaluations. */
-template <int NT, bool HM>
-inline float
-walkSparseUnrolled(const ForestView &v, int64_t root, const float *row,
-                   int32_t depth)
-{
-    int64_t tile = root;
-    for (int32_t d = 0; d + 1 < depth; ++d) {
-        int32_t child = evalTile<NT, HM>(v, tile, row);
-        tile = v.childBase[tile] + child;
-    }
-    int32_t child = evalTile<NT, HM>(v, tile, row);
-    int32_t base = v.childBase[tile];
-    return v.leaves[-(base + 1) + child];
-}
-
-// ---------------------------------------------------------------------
-// Packed layouts: sparse topology over fixed-stride AoS records.
-// Termination matches the sparse walk (childBase < 0 => leaf pool).
-// The f32 and int16-quantized record formats differ only in the field
-// offsets, the stride and the row element type, so one set of walkers
-// serves both precisions through a walk policy. The generic walk
-// prefetches the extremes of the contiguous child block while the
-// current tile's predicates evaluate, hiding the line fill of
-// whichever child the LUT selects next; the interleaved walkers also
-// come in software-pipelined variants that carry each lane's child
-// base in a register loaded one full lane round ahead of its use.
-// ---------------------------------------------------------------------
-
-/** Walk policy for the f32 packed record format. */
-template <int NT, bool HM>
-struct PackedF32Walk
-{
-    /** Row element type the tile evaluation consumes. */
-    using Row = float;
-    static constexpr int kNT = NT;
-    static constexpr int64_t kStride = lir::packedTileStride(NT);
-
-    static int32_t childBase(const unsigned char *record)
-    {
-        return packedChildBase<NT>(record);
-    }
-
-    static int32_t eval(const ForestView &v, const unsigned char *record,
-                        const Row *row)
-    {
-        return evalTilePacked<NT, HM>(v, record, row);
-    }
-};
-
-/** Walk policy for the int16-quantized packed record format. */
-template <int NT, bool HM>
-struct PackedQuantizedWalk
-{
-    /** Rows are pre-quantized: one int32 per feature. */
-    using Row = int32_t;
-    static constexpr int kNT = NT;
-    static constexpr int64_t kStride = lir::packedqTileStride(NT);
-
-    static int32_t childBase(const unsigned char *record)
-    {
-        return packedqChildBase<NT>(record);
-    }
-
-    static int32_t eval(const ForestView &v, const unsigned char *record,
-                        const Row *row)
-    {
-        return evalTilePackedQuantized<NT, HM>(v, record, row);
-    }
-};
-
-/** The record walk policy of layout @p L (f32 for the SoA layouts). */
-template <int NT, lir::LayoutKind L, bool HM>
-struct RecordWalkOf
-{
-    using type = PackedF32Walk<NT, HM>;
-};
-
-template <int NT, bool HM>
-struct RecordWalkOf<NT, lir::LayoutKind::kPackedQuantized, HM>
-{
-    using type = PackedQuantizedWalk<NT, HM>;
-};
-
-/** Prefetch the first and last candidate child records of a tile. */
-template <class P>
-inline void
-prefetchRecordChildren(const unsigned char *base_ptr, int32_t child_base)
-{
-    const unsigned char *first = base_ptr + child_base * P::kStride;
-    __builtin_prefetch(first, 0, 3);
-    __builtin_prefetch(first + P::kNT * P::kStride, 0, 3);
-}
-
-/** Generic record walk of the tree rooted at global tile @p root. */
-template <class P>
-inline float
-walkRecords(const ForestView &v, int64_t root, const typename P::Row *row)
-{
-    const unsigned char *base_ptr = v.packed;
-    int64_t tile = root;
-    while (true) {
-        const unsigned char *record = base_ptr + tile * P::kStride;
-        int32_t base = P::childBase(record);
-        if (base >= 0)
-            prefetchRecordChildren<P>(base_ptr, base);
-        int32_t child = P::eval(v, record, row);
-        if (base < 0)
-            return v.leaves[-(base + 1) + child];
-        tile = base + child;
-    }
-}
-
-/** Peeled record walk (same contract as walkSparsePeeled). */
-template <class P>
-inline float
-walkRecordsPeeled(const ForestView &v, int64_t root,
-                  const typename P::Row *row, int32_t peel)
-{
-    const unsigned char *base_ptr = v.packed;
-    int64_t tile = root;
-    for (int32_t d = 0; d + 1 < peel; ++d) {
-        const unsigned char *record = base_ptr + tile * P::kStride;
-        int32_t base = P::childBase(record);
-        prefetchRecordChildren<P>(base_ptr, base);
-        int32_t child = P::eval(v, record, row);
-        tile = base + child;
-    }
-    return walkRecords<P>(v, tile, row);
-}
-
-/** Fully unrolled record walk: exactly @p depth tile evaluations. */
-template <class P>
-inline float
-walkRecordsUnrolled(const ForestView &v, int64_t root,
-                    const typename P::Row *row, int32_t depth)
-{
-    const unsigned char *base_ptr = v.packed;
-    int64_t tile = root;
-    for (int32_t d = 0; d + 1 < depth; ++d) {
-        const unsigned char *record = base_ptr + tile * P::kStride;
-        int32_t base = P::childBase(record);
-        prefetchRecordChildren<P>(base_ptr, base);
-        int32_t child = P::eval(v, record, row);
-        tile = base + child;
-    }
-    const unsigned char *record = base_ptr + tile * P::kStride;
-    int32_t child = P::eval(v, record, row);
-    int32_t base = P::childBase(record);
-    return v.leaves[-(base + 1) + child];
-}
-
-// ---------------------------------------------------------------------
-// Array layout (Section V-B1). Tiles form an implicit (NT+1)-ary
-// array per tree; leaf tiles carry kLeafTileMarker.
-// ---------------------------------------------------------------------
-
-/** Generic array-layout walk of the tree whose block starts at @p base. */
-template <int NT, bool HM>
-inline float
-walkArray(const ForestView &v, int64_t base, const float *row)
-{
-    int64_t local = 0;
-    while (true) {
-        int64_t tile = base + local;
-        if (v.shapeIds[tile] == lir::kLeafTileMarker)
-            return v.thresholds[tile * NT];
-        int32_t child = evalTile<NT, HM>(v, tile, row);
-        local = (NT + 1) * local + child + 1;
-    }
-}
-
-/** Peeled array walk: the first @p peel iterations skip the leaf test. */
-template <int NT, bool HM>
-inline float
-walkArrayPeeled(const ForestView &v, int64_t base, const float *row,
-                int32_t peel)
-{
-    int64_t local = 0;
-    for (int32_t d = 0; d < peel; ++d) {
-        int32_t child = evalTile<NT, HM>(v, base + local, row);
-        local = (NT + 1) * local + child + 1;
-    }
-    // Continue with the generic checked loop from the current tile.
-    while (true) {
-        int64_t tile = base + local;
-        if (v.shapeIds[tile] == lir::kLeafTileMarker)
-            return v.thresholds[tile * NT];
-        int32_t child = evalTile<NT, HM>(v, tile, row);
-        local = (NT + 1) * local + child + 1;
-    }
-}
-
-/** Fully unrolled array walk: @p depth evaluations then the leaf read. */
-template <int NT, bool HM>
-inline float
-walkArrayUnrolled(const ForestView &v, int64_t base, const float *row,
-                  int32_t depth)
-{
-    int64_t local = 0;
-    for (int32_t d = 0; d < depth; ++d) {
-        int32_t child = evalTile<NT, HM>(v, base + local, row);
-        local = (NT + 1) * local + child + 1;
-    }
-    return v.thresholds[(base + local) * NT];
-}
-
-// ---------------------------------------------------------------------
-// Interleaved walks (Section IV-A): K independent (root, row) pairs in
-// lockstep. `roots` and `rows` each have K entries; results go to
-// `out[0..K)`. The same primitives serve row interleaving (same tree,
-// K rows) and tree interleaving (K trees, same row).
 // ---------------------------------------------------------------------
 
 /** Interleaved fully unrolled sparse walks. */
@@ -302,7 +61,11 @@ walkSparseUnrolledInterleaved(const ForestView &v, const int64_t *roots,
     }
 }
 
-/** Interleaved generic (optionally peeled) sparse walks. */
+/**
+ * Interleaved generic sparse walks. The first peel-1 steps run with
+ * no termination test (safe because every root-to-leaf path crosses
+ * at least @p peel internal tiles).
+ */
 template <int NT, bool HM, int K>
 inline void
 walkSparseGenericInterleaved(const ForestView &v, const int64_t *roots,
@@ -339,47 +102,75 @@ walkSparseGenericInterleaved(const ForestView &v, const int64_t *roots,
     }
 }
 
-/** Interleaved fully unrolled record walks (prefetch-hint variant). */
-template <class P, int K>
-inline void
-walkRecordsUnrolledInterleaved(const ForestView &v, const int64_t *roots,
-                               const typename P::Row *const *rows,
-                               int32_t depth, float *out)
+// ---------------------------------------------------------------------
+// Packed layouts: sparse topology over fixed-stride AoS records.
+// Termination matches the sparse walk (childBase < 0 => leaf pool).
+// The f32 and int16-quantized record formats differ only in the field
+// offsets, the stride and the row element type, so one set of walkers
+// serves both precisions through a walk policy. The walkers are
+// software-pipelined: each lane carries its child base in a register,
+// loaded one full lane round ahead of its use.
+// ---------------------------------------------------------------------
+
+/** Walk policy for the f32 packed record format. */
+template <int NT, bool HM>
+struct PackedF32Walk
 {
-    const unsigned char *base_ptr = v.packed;
-    int64_t tile[K];
-    for (int k = 0; k < K; ++k)
-        tile[k] = roots[k];
-    for (int32_t d = 0; d + 1 < depth; ++d) {
-        // Prefetch every lane's child block first, then evaluate: the
-        // loads of lane k's next record overlap the other lanes' work.
-        for (int k = 0; k < K; ++k) {
-            prefetchRecordChildren<P>(
-                base_ptr,
-                P::childBase(base_ptr + tile[k] * P::kStride));
-        }
-        for (int k = 0; k < K; ++k) {
-            const unsigned char *record =
-                base_ptr + tile[k] * P::kStride;
-            int32_t child = P::eval(v, record, rows[k]);
-            tile[k] = P::childBase(record) + child;
-        }
+    /** Row element type the tile evaluation consumes. */
+    using Row = float;
+    static constexpr int64_t kStride = lir::packedTileStride(NT);
+
+    static int32_t childBase(const unsigned char *record)
+    {
+        return packedChildBase<NT>(record);
     }
-    for (int k = 0; k < K; ++k) {
-        const unsigned char *record = base_ptr + tile[k] * P::kStride;
-        int32_t child = P::eval(v, record, rows[k]);
-        int32_t base = P::childBase(record);
-        out[k] = v.leaves[-(base + 1) + child];
+
+    static int32_t eval(const ForestView &v, const unsigned char *record,
+                        const Row *row)
+    {
+        return evalTilePacked<NT, HM>(v, record, row);
     }
-}
+};
+
+/** Walk policy for the int16-quantized packed record format. */
+template <int NT, bool HM>
+struct PackedQuantizedWalk
+{
+    /** Rows are pre-quantized: one int32 per feature. */
+    using Row = int32_t;
+    static constexpr int64_t kStride = lir::packedqTileStride(NT);
+
+    static int32_t childBase(const unsigned char *record)
+    {
+        return packedqChildBase<NT>(record);
+    }
+
+    static int32_t eval(const ForestView &v, const unsigned char *record,
+                        const Row *row)
+    {
+        return evalTilePackedQuantized<NT, HM>(v, record, row);
+    }
+};
+
+/** The record walk policy of layout @p L (f32 for the SoA layouts). */
+template <int NT, lir::LayoutKind L, bool HM>
+struct RecordWalkOf
+{
+    using type = PackedF32Walk<NT, HM>;
+};
+
+template <int NT, bool HM>
+struct RecordWalkOf<NT, lir::LayoutKind::kPackedQuantized, HM>
+{
+    using type = PackedQuantizedWalk<NT, HM>;
+};
 
 /**
  * Software-pipelined interleaved unrolled record walks: each lane
  * carries its current record pointer and that record's child base in
  * registers; advancing lane k issues the next record's child-base
  * load a full K-1 lanes of work before its next use, so the dependent
- * line fill overlaps the other lanes' evaluations instead of relying
- * on prefetch hints.
+ * line fill overlaps the other lanes' evaluations.
  */
 template <class P, int K>
 inline void
@@ -411,52 +202,11 @@ walkRecordsUnrolledInterleavedPipelined(
     }
 }
 
-/** Interleaved generic (optionally peeled) record walks. */
-template <class P, int K>
-inline void
-walkRecordsGenericInterleaved(const ForestView &v, const int64_t *roots,
-                              const typename P::Row *const *rows,
-                              int32_t peel, float *out)
-{
-    const unsigned char *base_ptr = v.packed;
-    int64_t tile[K];
-    for (int k = 0; k < K; ++k)
-        tile[k] = roots[k];
-    for (int32_t d = 0; d + 1 < peel; ++d) {
-        for (int k = 0; k < K; ++k) {
-            const unsigned char *record =
-                base_ptr + tile[k] * P::kStride;
-            int32_t child = P::eval(v, record, rows[k]);
-            tile[k] = P::childBase(record) + child;
-        }
-    }
-    uint32_t done = 0;
-    const uint32_t all_done = (K >= 32) ? ~0u : ((1u << K) - 1);
-    while (done != all_done) {
-        for (int k = 0; k < K; ++k) {
-            if (done & (1u << k))
-                continue;
-            const unsigned char *record =
-                base_ptr + tile[k] * P::kStride;
-            int32_t base = P::childBase(record);
-            if (base >= 0)
-                prefetchRecordChildren<P>(base_ptr, base);
-            int32_t child = P::eval(v, record, rows[k]);
-            if (base < 0) {
-                out[k] =
-                    v.leaves[-(base + 1) + child];
-                done |= 1u << k;
-            } else {
-                tile[k] = base + child;
-            }
-        }
-    }
-}
-
 /**
  * Software-pipelined interleaved generic record walks: like the
- * unrolled pipelined variant, but each lane checks its register-held
- * child base for leaf termination before advancing.
+ * unrolled variant, but each lane checks its register-held child base
+ * for leaf termination before advancing (peel as in
+ * walkSparseGenericInterleaved).
  */
 template <class P, int K>
 inline void
@@ -499,7 +249,16 @@ walkRecordsGenericInterleavedPipelined(
     }
 }
 
-/** Interleaved fully unrolled array walks. */
+// ---------------------------------------------------------------------
+// Array layout (Section V-B1). Tiles form an implicit (NT+1)-ary
+// array per tree; leaf tiles carry kLeafTileMarker. `bases` holds
+// each lane's tree block start.
+// ---------------------------------------------------------------------
+
+/**
+ * Interleaved fully unrolled array walks: @p depth evaluations, then
+ * the leaf read.
+ */
 template <int NT, bool HM, int K>
 inline void
 walkArrayUnrolledInterleaved(const ForestView &v, const int64_t *bases,
@@ -518,6 +277,42 @@ walkArrayUnrolledInterleaved(const ForestView &v, const int64_t *bases,
     }
 }
 
+/**
+ * Interleaved generic array walks: the first @p peel iterations skip
+ * the leaf test.
+ */
+template <int NT, bool HM, int K>
+inline void
+walkArrayGenericInterleaved(const ForestView &v, const int64_t *bases,
+                            const float *const *rows, int32_t peel,
+                            float *out)
+{
+    int64_t local[K] = {};
+    for (int32_t d = 0; d < peel; ++d) {
+        for (int k = 0; k < K; ++k) {
+            int32_t child = evalTile<NT, HM>(v, bases[k] + local[k], rows[k]);
+            local[k] = (NT + 1) * local[k] + child + 1;
+        }
+    }
+    uint32_t done = 0;
+    const uint32_t all_done = (K >= 32) ? ~0u : ((1u << K) - 1);
+    while (done != all_done) {
+        for (int k = 0; k < K; ++k) {
+            if (done & (1u << k))
+                continue;
+            int64_t tile = bases[k] + local[k];
+            if (v.shapeIds[tile] ==
+                lir::kLeafTileMarker) {
+                out[k] = v.thresholds[tile * NT];
+                done |= 1u << k;
+                continue;
+            }
+            int32_t child = evalTile<NT, HM>(v, tile, rows[k]);
+            local[k] = (NT + 1) * local[k] + child + 1;
+        }
+    }
+}
+
 // ---------------------------------------------------------------------
 // Row-parallel (batch-major) vectorized walks: the FIL-style traversal
 // shape selected by hir::TraversalKind::kRowParallel. Eight rows of a
@@ -531,7 +326,7 @@ walkArrayUnrolledInterleaved(const ForestView &v, const int64_t *bases,
 // a single compare, so vectorizing across rows recovers the SIMD width
 // that node-parallel evaluation cannot use; larger tile sizes keep the
 // node-parallel tile kernels and get their row parallelism from the
-// scalar lockstep fallback in the plan.
+// scalar lockstep fallback of RowParallelKernels (row_loops.h).
 //
 // Missing-value semantics match the scalar predicate bit for bit
 // (goesLeft): with HM, NaN lanes compare false (unordered) and are
@@ -870,39 +665,6 @@ walkPackedQuantizedRowsWide(const ForestView &v, int64_t root, const int32_t *qr
 }
 
 #endif // TREEBEARD_HAS_AVX2
-
-/** Interleaved generic (optionally peeled) array walks. */
-template <int NT, bool HM, int K>
-inline void
-walkArrayGenericInterleaved(const ForestView &v, const int64_t *bases,
-                            const float *const *rows, int32_t peel,
-                            float *out)
-{
-    int64_t local[K] = {};
-    for (int32_t d = 0; d < peel; ++d) {
-        for (int k = 0; k < K; ++k) {
-            int32_t child = evalTile<NT, HM>(v, bases[k] + local[k], rows[k]);
-            local[k] = (NT + 1) * local[k] + child + 1;
-        }
-    }
-    uint32_t done = 0;
-    const uint32_t all_done = (K >= 32) ? ~0u : ((1u << K) - 1);
-    while (done != all_done) {
-        for (int k = 0; k < K; ++k) {
-            if (done & (1u << k))
-                continue;
-            int64_t tile = bases[k] + local[k];
-            if (v.shapeIds[tile] ==
-                lir::kLeafTileMarker) {
-                out[k] = v.thresholds[tile * NT];
-                done |= 1u << k;
-                continue;
-            }
-            int32_t child = evalTile<NT, HM>(v, tile, rows[k]);
-            local[k] = (NT + 1) * local[k] + child + 1;
-        }
-    }
-}
 
 } // namespace treebeard::runtime
 

@@ -22,7 +22,7 @@
  *   --traversal node|row (SIMD shape: node-parallel tile evaluation
  *     vs row-parallel lane groups walking 8 rows in lockstep)
  *   --tiling basic|probability|hybrid|min-max-depth
- *   --no-unroll --no-peel --no-pipeline --verify-each
+ *   --no-unroll --no-peel --verify-each
  *
  * bench additionally takes --resident: bind the batch once as a
  * resident Dataset (quantize-once on i16 packed plans) and time
@@ -179,8 +179,6 @@ parseSchedule(const std::vector<std::string> &args, bool *dump_ir,
             schedule.padAndUnrollWalks = false;
         } else if (arg == "--no-peel") {
             schedule.peelWalks = false;
-        } else if (arg == "--no-pipeline") {
-            schedule.pipelinePackedWalks = false;
         } else if (arg == "--backend" && compiler_options != nullptr) {
             const std::string &value = next();
             if (value == "kernel")

@@ -253,8 +253,12 @@ growBoostedTree(const TrainingConfig &config, const FeatureBinner &binner,
             node.splitBin = best.bin;
             node.splitThreshold =
                 binner.thresholdAfterBin(best.feature, best.bin);
-            node.leftChild = static_cast<int32_t>(nodes.size());
-            node.rightChild = static_cast<int32_t>(nodes.size() + 1);
+            // The pushes below may reallocate `nodes` and invalidate
+            // `node`: read everything needed from it first.
+            int32_t left_index = static_cast<int32_t>(nodes.size());
+            int32_t right_index = left_index + 1;
+            node.leftChild = left_index;
+            node.rightChild = right_index;
 
             BuildNode left_child;
             left_child.stats = best.left;
@@ -264,8 +268,8 @@ growBoostedTree(const TrainingConfig &config, const FeatureBinner &binner,
             right_child.depth = node.depth + 1;
             nodes.push_back(left_child);
             nodes.push_back(right_child);
-            next_frontier.push_back(node.leftChild);
-            next_frontier.push_back(node.rightChild);
+            next_frontier.push_back(left_index);
+            next_frontier.push_back(right_index);
         }
 
         if (next_frontier.empty())

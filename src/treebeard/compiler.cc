@@ -328,8 +328,7 @@ compile(const model::Forest &forest, const hir::Schedule &schedule,
     if (options.backend == Backend::kSourceJit) {
         auto jit = std::make_unique<codegen::JitCompiledSession>(
             std::move(state.buffers), state.hir->groups(), schedule,
-            options.jit);
-        artifacts.generatedSource = jit->source();
+            options.jit, &artifacts.generatedSource);
         artifacts.jitCompileSeconds = jit->compileSeconds();
         artifacts.totalSeconds = total_timer.elapsedSeconds();
         return Session(std::move(jit), std::move(artifacts),

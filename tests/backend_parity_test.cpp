@@ -281,9 +281,8 @@ INSTANTIATE_TEST_SUITE_P(TableI, BackendParityOptimized,
  * A NaN row breaks the NaN-free promise, so its route is unspecified,
  * but both backends instantiate the same walkers with the same
  * missing-value choice (runtime::handleMissingValues), so it routes
- * alike on both, node-parallel and row-parallel. Tile sizes the kernel
- * runtime has no specialization for (3, 5) run its generic dynamic
- * walk; it agrees because a NaN takes the left child everywhere, so
+ * alike on both, node-parallel and row-parallel, at every tile size
+ * (odd ones included). A NaN takes the left child everywhere, so
  * every walk follows a real path (runtime::goesLeft).
  */
 TEST(UnifiedSession, NanRowsRouteAlikeUnderNoNanPromise)

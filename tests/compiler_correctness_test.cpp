@@ -62,7 +62,7 @@ buildSweep()
     std::vector<SweepCase> cases;
     for (auto order : {hir::LoopOrder::kOneTreeAtATime,
                        hir::LoopOrder::kOneRowAtATime}) {
-        for (int32_t tile_size : {1, 2, 3, 4, 8}) {
+        for (int32_t tile_size : {1, 2, 3, 4, 5, 6, 7, 8}) {
             for (auto tiling :
                  {hir::TilingAlgorithm::kBasic,
                   hir::TilingAlgorithm::kProbabilityBased,

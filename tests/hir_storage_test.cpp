@@ -242,38 +242,38 @@ const std::map<std::string, uint64_t> &
 recordedSourceDigests()
 {
     static const std::map<std::string, uint64_t> digests = {
-        {"abalone/array", 0x4f595b9ffe3f8734ull},
-        {"abalone/sparse", 0xe6750bdf3b01c9eaull},
-        {"abalone/packed", 0x2d2054d0450ec00aull},
-        {"abalone/packed-i16", 0x1043466fdb612d23ull},
-        {"airline/array", 0x616b62d3996788a8ull},
-        {"airline/sparse", 0xc35c861e8047b006ull},
-        {"airline/packed", 0x7fb4e03b5f61f556ull},
-        {"airline/packed-i16", 0x6353b6b9c339582aull},
-        {"airline-ohe/array", 0x679e79735dc78046ull},
-        {"airline-ohe/sparse", 0xeee22af877e4e7d4ull},
-        {"airline-ohe/packed", 0x250e1d4cc465303cull},
-        {"airline-ohe/packed-i16", 0x73f23d0a4ddcf928ull},
-        {"covtype/array", 0xc8be6394860e9229ull},
-        {"covtype/sparse", 0xcc8dbd19dfde4883ull},
-        {"covtype/packed", 0xb9686237295468bbull},
-        {"covtype/packed-i16", 0x3d0e24a680646b3ull},
-        {"epsilon/array", 0xc2e6dcbaf2501eecull},
-        {"epsilon/sparse", 0x3dd1556979e2a56eull},
-        {"epsilon/packed", 0x6963b5ca3c6d7816ull},
-        {"epsilon/packed-i16", 0xf7c03607e54aa394ull},
-        {"letter/array", 0x68641b96b142d02cull},
-        {"letter/sparse", 0x2ad5a172860653a6ull},
-        {"letter/packed", 0xa209299fc6fee556ull},
-        {"letter/packed-i16", 0xe481ea0458e78ad1ull},
-        {"higgs/array", 0xfbd93fd3f19909a4ull},
-        {"higgs/sparse", 0xd486c3dcf1b71caeull},
-        {"higgs/packed", 0x668fd2ba35e554ceull},
-        {"higgs/packed-i16", 0xc2fb7f0639a71710ull},
-        {"year/array", 0x1d173b660833e5f5ull},
-        {"year/sparse", 0x70edaa5321e7f193ull},
-        {"year/packed", 0x20c8fc72f55cb2bbull},
-        {"year/packed-i16", 0x84f921e0c4d9e334ull},
+        {"abalone/array", 0x828f87b36069f35aull},
+        {"abalone/sparse", 0x4b66d5bfeb6d94b4ull},
+        {"abalone/packed", 0xed5004726ffb34d4ull},
+        {"abalone/packed-i16", 0xd6cfc3761a6a231bull},
+        {"airline/array", 0x7aefc53959e8f414ull},
+        {"airline/sparse", 0x9c61acb7488753d6ull},
+        {"airline/packed", 0x59f411ec5110842eull},
+        {"airline/packed-i16", 0xc12a9dbdcf81b8c6ull},
+        {"airline-ohe/array", 0x6a8bfeaafc63ec38ull},
+        {"airline-ohe/sparse", 0x2e1a5dd6ea1fb4d2ull},
+        {"airline-ohe/packed", 0xdf293c645ea0fe32ull},
+        {"airline-ohe/packed-i16", 0xbda9519a45703adeull},
+        {"covtype/array", 0xd032eeec5c50ff9full},
+        {"covtype/sparse", 0xde836b662f86d511ull},
+        {"covtype/packed", 0x9714d50a161447e9ull},
+        {"covtype/packed-i16", 0x37ec40ccd4e609d9ull},
+        {"epsilon/array", 0x54454818a5f1b7beull},
+        {"epsilon/sparse", 0xa60c536b851b3dfcull},
+        {"epsilon/packed", 0x5523b9a3cf55a0cull},
+        {"epsilon/packed-i16", 0xdb0fe75aa248e33eull},
+        {"letter/array", 0x6101226e1eb62736ull},
+        {"letter/sparse", 0x1be56ff07a084a8cull},
+        {"letter/packed", 0x11bb225d53c5dc14ull},
+        {"letter/packed-i16", 0x14473b78417d241ull},
+        {"higgs/array", 0xd8cde7349e2f46b4ull},
+        {"higgs/sparse", 0x605afb0a1216e69eull},
+        {"higgs/packed", 0xff7f051ee9e6a36ull},
+        {"higgs/packed-i16", 0xfef3c2a2e7e71e18ull},
+        {"year/array", 0xa5a7772cf30531a1ull},
+        {"year/sparse", 0xdc76dd42c8e6e58full},
+        {"year/packed", 0xa68cb85175dbc957ull},
+        {"year/packed-i16", 0x143300f90ec78956ull},
     };
     return digests;
 }

@@ -448,24 +448,19 @@ TEST(PackedQuantizedLayout, MatchesF32AwayFromDeadZones)
     for (int32_t tile_size : {1, 2, 4, 8}) {
         for (int32_t interleave : {1, 4}) {
             for (bool unroll : {false, true}) {
-                for (bool pipeline : {false, true}) {
-                    hir::Schedule schedule;
-                    schedule.tileSize = tile_size;
-                    schedule.interleaveFactor = interleave;
-                    schedule.padAndUnrollWalks = unroll;
-                    schedule.layout = hir::MemoryLayout::kPacked;
-                    schedule.packedPrecision =
-                        hir::PackedPrecision::kI16;
-                    schedule.pipelinePackedWalks = pipeline;
+                hir::Schedule schedule;
+                schedule.tileSize = tile_size;
+                schedule.interleaveFactor = interleave;
+                schedule.padAndUnrollWalks = unroll;
+                schedule.layout = hir::MemoryLayout::kPacked;
+                schedule.packedPrecision = hir::PackedPrecision::kI16;
 
-                    Session session =
-                        compile(forest, schedule);
-                    ASSERT_EQ(session.plan().buffers().layout,
-                              lir::LayoutKind::kPackedQuantized);
-                    std::vector<float> actual(200);
-                    session.predict(rows.data(), 200, actual.data());
-                    testing::expectPredictionsExact(expected, actual);
-                }
+                Session session = compile(forest, schedule);
+                ASSERT_EQ(session.plan().buffers().layout,
+                          lir::LayoutKind::kPackedQuantized);
+                std::vector<float> actual(200);
+                session.predict(rows.data(), 200, actual.data());
+                testing::expectPredictionsExact(expected, actual);
             }
         }
     }
@@ -595,28 +590,25 @@ TEST(PackedQuantizedLayout, WideFeatureModelsFallBackToF32Packed)
     testing::expectPredictionsExact(expected, actual);
 }
 
-TEST(PackedLayout, PipelineToggleIsBitExact)
+TEST(PackedLayout, Interleave8IsBitExact)
 {
-    // The software-pipelined interleaved walkers must be a pure
-    // scheduling change for the f32 records too.
+    // Eight software-pipelined record walks in lockstep, on rows
+    // with missing values, match the reference walk.
     model::Forest forest = makeForestWithDefaults(931);
     std::vector<float> rows = makeRowsWithNaNs(12, 128, 932);
     std::vector<float> expected =
         testing::referencePredictions(forest, rows);
 
     for (bool unroll : {false, true}) {
-        for (bool pipeline : {false, true}) {
-            hir::Schedule schedule;
-            schedule.tileSize = 8;
-            schedule.interleaveFactor = 8;
-            schedule.padAndUnrollWalks = unroll;
-            schedule.layout = hir::MemoryLayout::kPacked;
-            schedule.pipelinePackedWalks = pipeline;
-            Session session = compile(forest, schedule);
-            std::vector<float> actual(128);
-            session.predict(rows.data(), 128, actual.data());
-            testing::expectPredictionsExact(expected, actual);
-        }
+        hir::Schedule schedule;
+        schedule.tileSize = 8;
+        schedule.interleaveFactor = 8;
+        schedule.padAndUnrollWalks = unroll;
+        schedule.layout = hir::MemoryLayout::kPacked;
+        Session session = compile(forest, schedule);
+        std::vector<float> actual(128);
+        session.predict(rows.data(), 128, actual.data());
+        testing::expectPredictionsExact(expected, actual);
     }
 }
 

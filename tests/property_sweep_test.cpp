@@ -211,13 +211,13 @@ namespace {
 
 /**
  * Cross-backend fuzz sweep: random forests x random schedules
- * (including the i16 packed precision, the packed software pipeline
- * and both traversal kinds — node-parallel tile evaluation and
- * row-parallel lane groups) x random batch sizes (0, 1 and
- * non-multiples of the vector width included) must be bit-identical
- * between the kernel backend, the source-JIT backend and — when the
- * effective layout is not quantized — the scalar reference walk. predictDataset() is
- * checked against predict() on both backends every iteration.
+ * (including the i16 packed precision and both traversal kinds —
+ * node-parallel tile evaluation and row-parallel lane groups) x
+ * random batch sizes (0, 1 and non-multiples of the vector width
+ * included) must be bit-identical between the kernel backend, the
+ * source-JIT backend and — when the effective layout is not
+ * quantized — the scalar reference walk. predictDataset() is checked
+ * against predict() on both backends every iteration.
  *
  * Quantized plans (i16 packed) legitimately differ from the f32
  * reference (threshold rounding can flip a comparison), but they are
@@ -272,7 +272,6 @@ TEST_P(CrossBackendFuzz, BackendsAgreeBitExactly)
     if (schedule.layout == hir::MemoryLayout::kPacked &&
         rng.bernoulli(0.5))
         schedule.packedPrecision = hir::PackedPrecision::kI16;
-    schedule.pipelinePackedWalks = rng.bernoulli(0.5);
     const int32_t interleaves[] = {1, 2, 4};
     schedule.interleaveFactor = interleaves[rng.uniformInt(0, 2)];
     schedule.padAndUnrollWalks = rng.bernoulli(0.7);

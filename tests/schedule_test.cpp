@@ -97,7 +97,6 @@ TEST(Schedule, JsonRoundTripPreservesEverything)
                 schedule.interleaveFactor = 4;
                 schedule.numThreads = 7;
                 schedule.packedPrecision = PackedPrecision::kI16;
-                schedule.pipelinePackedWalks = false;
                 schedule.rowChunkRows = 128;
                 schedule.traversal = TraversalKind::kRowParallel;
 
@@ -119,8 +118,6 @@ TEST(Schedule, JsonRoundTripPreservesEverything)
                 EXPECT_EQ(loaded.numThreads, schedule.numThreads);
                 EXPECT_EQ(loaded.packedPrecision,
                           schedule.packedPrecision);
-                EXPECT_EQ(loaded.pipelinePackedWalks,
-                          schedule.pipelinePackedWalks);
                 EXPECT_EQ(loaded.rowChunkRows, schedule.rowChunkRows);
                 EXPECT_EQ(loaded.traversal, schedule.traversal);
             }
@@ -145,27 +142,41 @@ TEST(Schedule, PackedPrecisionDefaultsAndPrints)
 {
     Schedule schedule;
     EXPECT_EQ(schedule.packedPrecision, PackedPrecision::kF32);
-    EXPECT_TRUE(schedule.pipelinePackedWalks);
 
     schedule.packedPrecision = PackedPrecision::kI16;
-    schedule.pipelinePackedWalks = false;
     EXPECT_NE(schedule.toString().find("+i16"), std::string::npos);
-    EXPECT_NE(schedule.toString().find("-pipeline"),
-              std::string::npos);
 
-    // Older schedule documents predate the knobs; stripping the keys
-    // must load as f32 with pipelining on.
+    // Older schedule documents predate the knob; stripping the key
+    // must load as f32.
     std::string text = scheduleToJsonString(Schedule{});
-    for (const std::string &key :
-         {std::string("\"packed_precision\":\"f32\","),
-          std::string("\"pipeline_packed\":true,")}) {
-        size_t pos = text.find(key);
-        if (pos != std::string::npos)
-            text.erase(pos, key.size());
-    }
+    std::string key = "\"packed_precision\":\"f32\",";
+    size_t pos = text.find(key);
+    ASSERT_NE(pos, std::string::npos);
+    text.erase(pos, key.size());
     Schedule defaulted = scheduleFromJsonString(text);
     EXPECT_EQ(defaulted.packedPrecision, PackedPrecision::kF32);
-    EXPECT_TRUE(defaulted.pipelinePackedWalks);
+}
+
+TEST(Schedule, RetiredPipelineKeyLoadsToTheSameSchedule)
+{
+    // Every tuning record written while the packed pipeline knob
+    // existed carries "pipeline_packed"; the knob never changed a
+    // prediction, so either value loads as if the key were absent.
+    Schedule schedule;
+    schedule.layout = MemoryLayout::kPacked;
+    schedule.packedPrecision = PackedPrecision::kI16;
+    schedule.interleaveFactor = 4;
+    std::string text = scheduleToJsonString(schedule);
+    EXPECT_EQ(text.find("pipeline_packed"), std::string::npos);
+    ASSERT_EQ(text.front(), '{');
+    for (const char *value : {"true", "false"}) {
+        std::string legacy =
+            "{\"pipeline_packed\":" + std::string(value) + "," +
+            text.substr(1);
+        Schedule loaded = scheduleFromJsonString(legacy);
+        EXPECT_EQ(scheduleToJsonString(loaded), text) << value;
+        EXPECT_EQ(loaded.toString(), schedule.toString()) << value;
+    }
 }
 
 TEST(Schedule, RowChunkDefaultsAndPrints)

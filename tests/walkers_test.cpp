@@ -2,8 +2,9 @@
  * @file
  * Direct tests of the runtime walk kernels against the tiled-tree
  * reference traversal: every (layout, tile size, walk mode,
- * interleave width) combination, plus robustness of the sparse
- * layout's safety tail against NaN inputs.
+ * interleave width) combination, the single walk (K = 1) included,
+ * plus robustness of the sparse layout's safety tail against NaN
+ * inputs.
  */
 #include <cmath>
 #include <limits>
@@ -12,11 +13,14 @@
 
 #include "lir/layout_builder.h"
 #include "runtime/plan.h"
-#include "runtime/walkers.h"
+#include "runtime/row_loops.h"
 #include "test_utils.h"
 
 namespace treebeard::runtime {
 namespace {
+
+constexpr lir::LayoutKind kSparse = lir::LayoutKind::kSparse;
+constexpr lir::LayoutKind kArray = lir::LayoutKind::kArray;
 
 struct WalkerFixtureState
 {
@@ -63,6 +67,21 @@ viewOf(const WalkerFixtureState &state, const lir::ForestBuffers &fb)
     return makeForestView(fb, state.schedule, &unused_wide);
 }
 
+/**
+ * One walk of the tree at @p root for @p row through the plans' single
+ * walk (the K = 1 instantiation of the interleaved walkers): generic
+ * after @p peel unchecked steps, or unrolled to @p depth when
+ * @p depth > 0.
+ */
+template <int NT, lir::LayoutKind L>
+float
+walkOne(const ForestView &v, int64_t root, const float *row, int32_t peel,
+        int32_t depth)
+{
+    WalkGroup group{0, 1, depth, peel, depth > 0};
+    return PlanKernels<NT, L, 1, true>::walkOne(v, root, row, group);
+}
+
 /** Reference per-(tree, row) leaf values via the tiled trees. */
 float
 referenceTreeValue(const WalkerFixtureState &state, int64_t pos,
@@ -95,27 +114,21 @@ checkAllWalkers(const WalkerFixtureState &state)
             const float *row = state.rows.data() + r * nf;
             float expected = referenceTreeValue(state, pos, row);
 
-            EXPECT_EQ((walkSparse<NT, true>(sparse_view, sparse_root,
-                                     row)),
+            // Generic walks without peeling hold for every tree.
+            EXPECT_EQ((walkOne<NT, kSparse>(sparse_view, sparse_root, row,
+                                            0, 0)),
                       expected);
-            EXPECT_EQ((walkArray<NT, true>(array_view, array_base,
-                                    row)),
+            EXPECT_EQ((walkOne<NT, kArray>(array_view, array_base, row, 0,
+                                           0)),
                       expected);
-            if (info.unrolled) {
-                EXPECT_EQ((walkSparseUnrolled<NT, true>(sparse_view, sparse_root, row,
-                                                 info.unrolledDepth)),
-                          expected);
-                EXPECT_EQ((walkArrayUnrolled<NT, true>(array_view, array_base, row,
-                                                info.unrolledDepth)),
-                          expected);
-            } else {
-                EXPECT_EQ((walkSparsePeeled<NT, true>(sparse_view, sparse_root, row,
-                                               info.peelDepth)),
-                          expected);
-                EXPECT_EQ((walkArrayPeeled<NT, true>(array_view, array_base, row,
-                                              info.peelDepth)),
-                          expected);
-            }
+            int32_t peel = info.unrolled ? 0 : info.peelDepth;
+            int32_t depth = info.unrolled ? info.unrolledDepth : 0;
+            EXPECT_EQ((walkOne<NT, kSparse>(sparse_view, sparse_root, row,
+                                            peel, depth)),
+                      expected);
+            EXPECT_EQ((walkOne<NT, kArray>(array_view, array_base, row,
+                                           peel, depth)),
+                      expected);
         }
 
         // Interleaved variants, 4 rows at a time.
@@ -202,24 +215,8 @@ TEST(Walkers, NanInputsStayMemorySafe)
     for (int64_t pos = 0; pos < state.sparse.numTrees; ++pos) {
         int64_t root =
             state.sparse.treeFirstTile[static_cast<size_t>(pos)];
-        float value = walkSparse<8, true>(view, root,
-                                    nan_row.data());
+        float value = walkOne<8, kSparse>(view, root, nan_row.data(), 0, 0);
         EXPECT_TRUE(std::isfinite(value) || std::isnan(value));
-    }
-}
-
-TEST(Walkers, EvalTileAgreesWithDynamicPath)
-{
-    WalkerFixtureState state = makeState(8, false, 508);
-    ForestView view = viewOf(state, state.sparse);
-    for (int64_t tile = 0; tile < state.sparse.numTiles(); ++tile) {
-        for (int64_t r = 0; r < 8; ++r) {
-            const float *row = state.rows.data() +
-                               r * state.forest.numFeatures();
-            EXPECT_EQ((evalTile<8, false>(view, tile, row)),
-                      evalTileDynamic(state.sparse, tile, row, false))
-                << "tile " << tile << " row " << r;
-        }
     }
 }
 

@@ -61,13 +61,18 @@ DEFAULT_FILTER="$DEFAULT_FILTER"'|Tiling|HirStorage'
 # raw pointers (the widened default-left copy included) on both
 # backends; the memory modes watch those gathers.
 DEFAULT_FILTER="$DEFAULT_FILTER"'|RowParallel'
+# The node-parallel walkers on their own (every layout, tile size and
+# interleave width, K = 1 included) and the GBDT trainer, whose tree
+# builder grows a node vector while it holds indices into it.
+DEFAULT_FILTER="$DEFAULT_FILTER"'|Walkers|MulticlassTraining|GbdtTrainer'
 FILTER="${TREEBEARD_SANITIZE_TESTS:-$DEFAULT_FILTER}"
 
 TARGETS=(codegen_test packed_layout_test backend_parity_test
          row_parallel_test verifier_test resident_dataset_test
          concurrency_test serving_test lock_order_test
          property_sweep_test transport_test wire_fuzz_test
-         tiling_test hir_storage_test)
+         tiling_test hir_storage_test walkers_test multiclass_test
+         train_test)
 
 for sanitizer in "${SANITIZERS[@]}"; do
     case "$sanitizer" in
